@@ -12,6 +12,11 @@ _INTEGER_RE = re.compile(r"^-?\d+$")
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+|\.\d+)$")
 
 
+def is_json_int(raw) -> bool:
+    """Is ``raw`` a JSON integer?  Python bools are ints, JSON ones are not."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def opinion_to_json(value):
     """Encode an opinion for JSON: ints pass through, Fractions become 'p/q'."""
     if isinstance(value, int):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import atomic_write_text, opinion_from_json, opinion_to_json
+from ._io import atomic_write_text, is_json_int, opinion_from_json, opinion_to_json
 from .cohesion import DEFAULT_ENUMERATION_BOUND, enumerate_maximal_cohesive_sets
 from .dynamics import (
     GridUniform,
@@ -159,7 +159,9 @@ def _read_schedule(path) -> tuple[int, ...]:
         payload = payload.get("sequence")
     if not isinstance(payload, list):
         raise ValueError("schedule file must hold a JSON list or {'sequence': [...]}")
-    return tuple(int(i) - 1 for i in payload)
+    if not all(is_json_int(i) for i in payload):
+        raise ValueError("schedule entries must be integer node numbers")
+    return tuple(i - 1 for i in payload)
 
 
 # -- subcommands --------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .median import HALF
+from . import _engine
 from .network import InfluenceNetwork
 
 __all__ = [
@@ -32,28 +32,37 @@ __all__ = [
 DEFAULT_ENUMERATION_BOUND = 16
 
 
-def _check_members(net: InfluenceNetwork, members: Iterable[int]) -> frozenset:
-    m = frozenset(members)
-    if not m:
-        raise ValueError("the empty set is rejected: cohesion is defined for non-empty sets")
-    for i in m:
+def _indicator(net: InfluenceNetwork, members: Iterable[int]) -> list[int]:
+    """Validated per-node 0/1 membership list of a non-empty node set."""
+    inside = [0] * net.n
+    for i in members:
         if not isinstance(i, int) or not 0 <= i < net.n:
             raise ValueError(f"node {i!r} out of range for n={net.n}")
-    return m
+        inside[i] = 1
+    if not any(inside):
+        raise ValueError("the empty set is rejected: cohesion is defined for non-empty sets")
+    return inside
+
+
+def _settled(rows, inside) -> bool:
+    """Members keep at least half inside and outsiders put at most half in."""
+    for row, member in zip(rows, inside):
+        m = _engine.margin(row, inside)
+        if (m < 0) if member else (m > 0):
+            return False
+    return True
 
 
 def is_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
     """Every member keeps weight >= 1/2 inside the set."""
-    m = _check_members(net, members)
-    return all(net.row_mass(i, m) >= HALF for i in m)
+    inside = _indicator(net, members)
+    rows = net.integer_rows
+    return all(_engine.margin(rows[i], inside) >= 0 for i in range(net.n) if inside[i])
 
 
 def is_maximal_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
     """Cohesive, and no outside node has weight > 1/2 into the set."""
-    m = _check_members(net, members)
-    if not all(net.row_mass(i, m) >= HALF for i in m):
-        return False
-    return all(net.row_mass(i, m) <= HALF for i in range(net.n) if i not in m)
+    return _settled(net.integer_rows, _indicator(net, members))
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ def cohesive_expansion(
     qualifiers; by default the lowest index is admitted first.  The final
     set never depends on this choice.
     """
-    current = set(_check_members(net, members))
+    inside = _indicator(net, members)
     if order_hint is not None:
         hint = list(order_hint)
         if sorted(hint) != list(range(net.n)):
@@ -83,12 +92,13 @@ def cohesive_expansion(
         priority = {node: pos for pos, node in enumerate(hint)}
     else:
         priority = None
+    rows = net.integer_rows
     additions: list[tuple[int, int]] = []
     step = 0
     while True:
         qualifiers = [
             i for i in range(net.n)
-            if i not in current and net.row_mass(i, current) > HALF
+            if not inside[i] and _engine.margin(rows[i], inside) > 0
         ]
         if not qualifiers:
             break
@@ -97,9 +107,10 @@ def cohesive_expansion(
         else:
             chosen = min(qualifiers)
         step += 1
-        current.add(chosen)
+        inside[chosen] = 1
         additions.append((chosen, step))
-    return ExpansionTrace(result=frozenset(current), additions=tuple(additions))
+    result = frozenset(i for i in range(net.n) if inside[i])
+    return ExpansionTrace(result=result, additions=tuple(additions))
 
 
 def enumerate_maximal_cohesive_sets(
@@ -117,25 +128,14 @@ def enumerate_maximal_cohesive_sets(
             f"n={n} exceeds the enumeration bound {bound}; "
             "raise `bound` explicitly to force the exhaustive check"
         )
-    int_rows = net.integer_rows
+    # Gray-code order: each step flips one node's membership.
+    rows = net.integer_rows
+    inside = [0] * n
     found = []
-    for mask in range(1, 1 << n):
-        ok = True
-        for i in range(n):
-            nbrs, wints, denom = int_rows[i]
-            mass = 0
-            for j, w in zip(nbrs, wints):
-                if mask >> j & 1:
-                    mass += w
-            if mask >> i & 1:
-                if 2 * mass < denom:
-                    ok = False
-                    break
-            elif 2 * mass > denom:
-                ok = False
-                break
-        if ok:
-            found.append(frozenset(i for i in range(n) if mask >> i & 1))
+    for k in range(1, 1 << n):
+        inside[(k & -k).bit_length() - 1] ^= 1
+        if _settled(rows, inside):
+            found.append(frozenset(i for i in range(n) if inside[i]))
     found.sort(key=lambda s: (len(s), sorted(s)))
     return found
 

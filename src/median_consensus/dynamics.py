@@ -134,8 +134,7 @@ def is_equilibrium(net: InfluenceNetwork, x: Sequence) -> bool:
     """Is every node already at its own closest weighted median?"""
     vals = _validate_state(net, x)
     state, _ = _engine.encode_profile(vals)
-    rows = net.integer_rows
-    return all(_engine.update_value(rows, state, i) == state[i] for i in range(net.n))
+    return next(_engine.successors(net.integer_rows, tuple(state)), None) is None
 
 
 def _affected_lists(net: InfluenceNetwork) -> tuple:
@@ -292,8 +291,17 @@ def _replica_summary(net, x0_source, base_seed, r, budget):
     return converged, consensus, used, _census_key(terminal)
 
 
-def _replica_job(args):
-    net, x0_source, base_seed, r, budget = args
+_worker_config: tuple = ()
+
+
+def _init_worker(*config):
+    """Pool initializer: each worker receives the network and settings once."""
+    global _worker_config
+    _worker_config = config
+
+
+def _replica_job(r):
+    net, x0_source, base_seed, budget = _worker_config
     return _replica_summary(net, x0_source, base_seed, r, budget)
 
 
@@ -322,28 +330,38 @@ def ensemble(
     ``x0_source`` is either a fixed state or a distribution object with a
     ``draw(rng, n)`` method (:class:`LabelUniform`, :class:`GridUniform`).
     Replica ``r`` derives its own generator from ``[seed, r]``, so reports
-    are identical for any worker count.  Parallel workers are processes;
-    the ``MEDIAN_CONSENSUS_THREADS`` environment variable caps them.
+    are identical for any worker count.  Parallel workers are processes
+    that receive the network once; the ``MEDIAN_CONSENSUS_THREADS``
+    environment variable caps them.  ``budget`` and ``workers`` must be at
+    least 1.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     eff_budget = budget if budget is not None else default_budget(net.n)
-    if eff_budget < 0:
-        raise ValueError("budget must be nonnegative")
-    cap = _env_thread_cap()
+    if eff_budget < 1:
+        raise ValueError("budget must be at least 1")
     eff_workers = workers if workers is not None else 1
+    if eff_workers < 1:
+        raise ValueError("workers must be at least 1")
+    cap = _env_thread_cap()
     if cap is not None:
         eff_workers = min(eff_workers, cap)
-    eff_workers = max(1, min(eff_workers, replicas))
+    eff_workers = min(eff_workers, replicas)
 
-    jobs = [(net, x0_source, seed, r, eff_budget) for r in range(replicas)]
     if eff_workers == 1:
-        summaries = [_replica_job(j) for j in jobs]
+        summaries = [
+            _replica_summary(net, x0_source, seed, r, eff_budget) for r in range(replicas)
+        ]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=eff_workers) as pool:
-            summaries = list(pool.map(_replica_job, jobs, chunksize=max(1, replicas // (4 * eff_workers))))
+        with ProcessPoolExecutor(
+            max_workers=eff_workers,
+            initializer=_init_worker,
+            initargs=(net, x0_source, seed, eff_budget),
+        ) as pool:
+            chunksize = max(1, replicas // (4 * eff_workers))
+            summaries = list(pool.map(_replica_job, range(replicas), chunksize=chunksize))
 
     census: Counter = Counter()
     converged_count = consensus_count = 0

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from . import _engine
 from .cohesion import (
     DEFAULT_ENUMERATION_BOUND,
-    enumerate_maximal_cohesive_sets,
+    has_nontrivial_maximal_cohesive_set,
+    is_cohesive,
     is_maximal_cohesive,
 )
 from .dynamics import RandomSchedule, default_budget, is_equilibrium, run
-from .median import HALF
 from .network import (
     InfluenceNetwork,
     decisive_subgraph,
@@ -56,20 +56,15 @@ def is_equilibrium_structural(net: InfluenceNetwork, x) -> bool:
 
     True iff the state is a consensus or, for every way of cutting the
     value axis between two adjacent occurring values, the below-cut and
-    above-cut node sets are each maximal cohesive.
+    above-cut node sets are each maximal cohesive.  Rows sum to exactly 1,
+    so the above-cut conditions are the below-cut ones with the sides
+    swapped, and checking the below-cut set decides both.
     """
     vals = list(x)
     if len(vals) != net.n:
         raise ValueError(f"state length {len(vals)} != n={net.n}")
-    distinct = sorted(set(vals))
-    if len(distinct) == 1:
-        return True
-    for cut in distinct[:-1]:
-        low = frozenset(i for i, v in enumerate(vals) if v <= cut)
-        high = frozenset(range(net.n)) - low
-        if not is_maximal_cohesive(net, low):
-            return False
-        if not is_maximal_cohesive(net, high):
+    for cut in sorted(set(vals))[:-1]:
+        if not is_maximal_cohesive(net, (i for i, v in enumerate(vals) if v <= cut)):
             return False
     return True
 
@@ -97,7 +92,7 @@ def enumerate_equilibria(
     out = []
     ranks = range(len(labels))
     for state in itertools.product(ranks, repeat=n):
-        if all(_engine.update_value(rows, state, i) == state[i] for i in range(n)):
+        if next(_engine.successors(rows, state), None) is None:
             out.append(tuple(labels[v] for v in state))
     return out
 
@@ -162,12 +157,8 @@ def classify(
     consensus_certain: bool | None = None
     witness: frozenset | None = None
     if exhaustive:
-        full = frozenset(range(n))
-        for s in enumerate_maximal_cohesive_sets(net, bound=cohesion_bound):
-            if s != full:
-                witness = s
-                break
-        consensus_certain = witness is None
+        found, witness = has_nontrivial_maximal_cohesive_set(net, bound=cohesion_bound)
+        consensus_certain = not found
         if witness is not None:
             members = ",".join(str(i + 1) for i in sorted(witness))
             scope["witness_recipe"] = (
@@ -249,52 +240,30 @@ def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], t
     schedule: list[int] = []
 
     for level in range(len(table) - 1):
-        # Escape loop: class members pulled away by a strict high-side majority.
-        while True:
-            pick = None
-            for i in range(n):
-                if state[i] > level:
-                    continue
-                nbrs, wints, denom = rows[i]
-                mass = 0
-                for j, w in zip(nbrs, wints):
-                    if state[j] > level:
-                        mass += w
-                if 2 * mass > denom:
-                    pick = i
+        # low[i] == 1 exactly when state[i] <= level; flipped after each pick.
+        low = [int(v <= level) for v in state]
+        # Escape loop (member=1): class members whose margin on the block is
+        # negative, i.e. a strict high-side majority, leave the class.
+        # Expansion loop (member=0): outside nodes with a positive margin
+        # join it.
+        for member, sign in ((1, -1), (0, 1)):
+            start = 0
+            while True:
+                pick = next(
+                    (i for i in range(start, n)
+                     if low[i] == member and sign * _engine.margin(rows[i], low) > 0),
+                    None,
+                )
+                if pick is None:
                     break
-            if pick is None:
-                break
-            new = _engine.update_value(rows, state, pick)
-            if new <= level:
-                raise RuntimeError("escape update failed to leave the value class")
-            state[pick] = new
-            schedule.append(pick)
-        # Expansion loop: outside nodes with a strict majority on the block.
-        while True:
-            members = [j for j in range(n) if state[j] <= level]
-            if not members:
-                break
-            member_set = set(members)
-            pick = None
-            for i in range(n):
-                if i in member_set:
-                    continue
-                nbrs, wints, denom = rows[i]
-                mass = 0
-                for j, w in zip(nbrs, wints):
-                    if j in member_set:
-                        mass += w
-                if 2 * mass > denom:
-                    pick = i
-                    break
-            if pick is None:
-                break
-            new = _engine.update_value(rows, state, pick)
-            if new > level:
-                raise RuntimeError("expansion update failed to join the value class")
-            state[pick] = new
-            schedule.append(pick)
+                state[pick] = _engine.update_value(rows, state, pick)
+                if (state[pick] <= level) == member:
+                    raise RuntimeError("update failed to cross the value class boundary")
+                low[pick] ^= 1
+                schedule.append(pick)
+                # Only the pick's listeners have new margins, and no node
+                # below the pick qualified before it, so rescan from there.
+                start = min((pick + 1, *net.in_neighbors[pick]))
 
     terminal = tuple(table[v] for v in state)
     traj = run(net, tuple(vals), tuple(schedule))
@@ -333,14 +302,17 @@ class ConsensusCertificate:
 
     @staticmethod
     def from_json_dict(payload: dict) -> "ConsensusCertificate":
-        from ._io import opinion_from_json
+        from ._io import is_json_int, opinion_from_json
 
         try:
             initial = tuple(opinion_from_json(v) for v in payload["initial"])
-            sequence = tuple(int(i) - 1 for i in payload["sequence"])
-            target_time = int(payload["target_time"])
+            sequence = tuple(payload["sequence"])
+            target_time = payload["target_time"]
+            if not all(is_json_int(i) for i in (*sequence, target_time)):
+                raise ValueError("sequence entries and target_time must be integers")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate payload: {exc}") from exc
+        sequence = tuple(i - 1 for i in sequence)
         return ConsensusCertificate(initial=initial, sequence=sequence, target_time=target_time)
 
 
@@ -355,8 +327,9 @@ def verify_certificate(net: InfluenceNetwork, cert: ConsensusCertificate) -> boo
 
 
 def _frozen_nodes(net: InfluenceNetwork) -> list[int]:
-    """Nodes with self-weight >= 1/2: their opinion can never change."""
-    return [i for i in range(net.n) if net.weight(i, i) >= HALF]
+    """Nodes with self-weight >= 1/2 (a cohesive singleton): their opinion
+    can never change."""
+    return [i for i in range(net.n) if is_cohesive(net, (i,))]
 
 
 def _cohesive_pairs(net: InfluenceNetwork) -> list[list[int]]:
@@ -369,10 +342,7 @@ def _cohesive_pairs(net: InfluenceNetwork) -> list[list[int]]:
     partners: list[list[int]] = [[] for _ in range(net.n)]
     for a in range(net.n):
         for b in range(a + 1, net.n):
-            if (
-                net.weight(a, a) + net.weight(a, b) >= HALF
-                and net.weight(b, b) + net.weight(b, a) >= HALF
-            ):
+            if is_cohesive(net, (a, b)):
                 partners[a].append(b)
                 partners[b].append(a)
     return partners
@@ -451,11 +421,7 @@ def _search_to_zero(rows, n, y0, target, dead, partners):
     while frontier and found is None:
         nxt = []
         for s in frontier:
-            for i in range(n):
-                new = _engine.update_value(rows, s, i)
-                if new == s[i]:
-                    continue
-                s2 = s[:i] + (new,) + s[i + 1 :]
+            for i, s2 in _engine.successors(rows, s):
                 if s2 in parents:
                     continue
                 canon = min(s2, tuple(-v for v in s2))
@@ -519,11 +485,7 @@ def _distinct_profile_consensus_search(net: InfluenceNetwork) -> bool:
         while frontier:
             nxt = []
             for s in frontier:
-                for i in range(n):
-                    new = _engine.update_value(rows, s, i)
-                    if new == s[i]:
-                        continue
-                    s2 = s[:i] + (new,) + s[i + 1 :]
+                for _, s2 in _engine.successors(rows, s):
                     if s2 in seen or min(s2, mirror(s2)) in dead:
                         continue
                     if len(set(s2)) == 1:

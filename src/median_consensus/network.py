@@ -26,6 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._io import is_json_int
 from .median import to_fraction
 
 __all__ = [
@@ -52,7 +53,12 @@ class NetworkFormatError(ValueError):
 
 @dataclass(frozen=True)
 class InfluenceNetwork:
-    """Immutable weighted directed network with row-stochastic weights."""
+    """Immutable weighted directed network with row-stochastic weights.
+
+    Construction validates every row and clears it to integers in one pass:
+    ``integer_rows[i]`` is ``(neighbor indices, integer weights, common
+    denominator)``, the form every half-threshold test in ``_engine`` uses.
+    """
 
     n: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
@@ -62,9 +68,9 @@ class InfluenceNetwork:
             raise NetworkFormatError("network needs at least one node")
         if len(self.rows) != self.n:
             raise NetworkFormatError(f"expected {self.n} rows, got {len(self.rows)}")
+        cleared = []
         for i, row in enumerate(self.rows):
             seen = set()
-            total = Fraction(0)
             for j, w in row:
                 if not 0 <= j < self.n:
                     raise NetworkFormatError(f"row {i}: neighbor index {j} out of range")
@@ -73,13 +79,17 @@ class InfluenceNetwork:
                 seen.add(j)
                 if not isinstance(w, Fraction):
                     raise NetworkFormatError(f"row {i}: weight on {j} is not a Fraction")
-                if w <= 0:
+                if w.numerator <= 0:
                     raise NetworkFormatError(
                         f"row {i}: weight on {j} must be positive (drop zero entries)"
                     )
-                total += w
-            if total != 1:
+            denom = math.lcm(*(w.denominator for _, w in row))
+            wints = tuple(w.numerator * (denom // w.denominator) for _, w in row)
+            if sum(wints) != denom:
+                total = sum((w for _, w in row), Fraction(0))
                 raise NetworkFormatError(f"row {i} sums to {total}, expected exactly 1")
+            cleared.append((tuple(j for j, _ in row), wints, denom))
+        object.__setattr__(self, "integer_rows", tuple(cleared))
 
     # -- construction -----------------------------------------------------
 
@@ -160,29 +170,6 @@ class InfluenceNetwork:
     def edge_count(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def row_mass(self, i: int, members) -> Fraction:
-        """Total weight node i places on the node set ``members``."""
-        total = Fraction(0)
-        for j, w in self.rows[i]:
-            if j in members:
-                total += w
-        return total
-
-    @cached_property
-    def integer_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-        """Per row: neighbor indices, integer weights, common denominator.
-
-        Clearing denominators lets the simulation and search loops compare
-        masses against 1/2 with plain integer arithmetic.
-        """
-        out = []
-        for row in self.rows:
-            denom = math.lcm(*(w.denominator for _, w in row)) if row else 1
-            nbrs = tuple(j for j, _ in row)
-            wints = tuple(int(w * denom) for _, w in row)
-            out.append((nbrs, wints, denom))
-        return tuple(out)
-
 
 # -- file formats ----------------------------------------------------------
 
@@ -238,7 +225,7 @@ def network_from_json_dict(payload: dict) -> InfluenceNetwork:
         edges = payload["edges"]
     except KeyError as exc:
         raise NetworkFormatError(f"JSON network payload missing key {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not is_json_int(n) or n < 1:
         raise NetworkFormatError(f"invalid node count {n!r}")
     normalize = payload.get("normalize", False)
     if not isinstance(normalize, bool):
@@ -248,7 +235,7 @@ def network_from_json_dict(payload: dict) -> InfluenceNetwork:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise NetworkFormatError(f"edge entry {entry!r} must be [i, j, weight]")
         i, j, raw = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= n and 1 <= j <= n):
+        if not (is_json_int(i) and is_json_int(j) and 1 <= i <= n and 1 <= j <= n):
             raise NetworkFormatError(f"edge ({i!r}, {j!r}) must use 1-indexed nodes in 1..{n}")
         converted.append((i - 1, j - 1, raw))
     try:

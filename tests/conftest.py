@@ -42,6 +42,29 @@ def random_network(rnd: random.Random, n: int, max_den: int = 24,
     return InfluenceNetwork.from_rows(dense)
 
 
+_PRIMES = (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151)
+
+
+def random_coprime_network(rnd: random.Random, n: int) -> InfluenceNetwork:
+    """Random network whose rows mix co-prime denominators.
+
+    Each row takes weights ``a/p`` over distinct primes ``p`` and gives the
+    remainder to one more entry, so a row's common denominator is the
+    product of several primes (up to about 10^20) rather than a small number.
+    """
+    dense = []
+    for _ in range(n):
+        support = rnd.sample(range(n), rnd.randint(1, n))
+        primes = rnd.sample(_PRIMES, len(support) - 1)
+        weights = [Fraction(rnd.randint(1, p // len(support)), p) for p in primes]
+        weights.append(1 - sum(weights, Fraction(0)))
+        row = [Fraction(0)] * n
+        for j, w in zip(support, weights):
+            row[j] = w
+        dense.append(row)
+    return InfluenceNetwork.from_rows(dense)
+
+
 def random_weights(rnd: random.Random, n: int, max_den: int = 24,
                    zeros_ok: bool = True):
     """Random weight vector (sum exactly 1), possibly with zero entries."""

@@ -108,6 +108,18 @@ class TestEnsemble:
         assert result["consensus_fraction"] == 1.0
         assert result["budget_exhausted"] == 0
 
+    @pytest.mark.parametrize(
+        "extra", [["--budget", "0"], ["--workers", "0"], ["--workers", "-3"]]
+    )
+    def test_counts_below_one_are_input_errors(self, complete4, capsys, extra):
+        rc = cli.main(
+            ["ensemble", "--network", complete4, "--initial", "labels:3",
+             "--replicas", "4", "--seed", "11", *extra]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "must be at least 1" in captured.err
+
 
 class TestAnalyze:
     def test_json_fields(self, cliques, capsys):
@@ -204,6 +216,24 @@ class TestDecideAndVerify:
         assert out["result"]["valid"] is False
         assert "sequence length" in out["result"]["reason"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sequence", [1.5, 2]), ("sequence", ["2"]), ("sequence", [True]),
+         ("target_time", "2")],
+    )
+    def test_non_integer_certificate_numbers_are_invalid(
+        self, complete4, tmp_path, capsys, field, value
+    ):
+        cert = tmp_path / "cert.json"
+        payload = {"initial": [0, 1, 1, 1], "sequence": [2, 3], "target_time": 2}
+        payload[field] = value
+        cert.write_text(json.dumps(payload))
+        rc = cli.main(["verify-cert", "--network", complete4, "--cert", str(cert)])
+        out = _capture(capsys)
+        assert rc == 5
+        assert out["result"]["valid"] is False
+        assert "integers" in out["result"]["reason"]
+
     def test_unreachable_network(self, cliques, capsys):
         rc = cli.main(["decide", "--network", cliques])
         payload = _capture(capsys)
@@ -269,6 +299,35 @@ class TestErrorPaths:
                        "--seed", "1"])
         capsys.readouterr()
         assert rc == 1
+
+    def test_incomparable_opinions(self, complete4, capsys):
+        rc = cli.main(["simulate", "--network", complete4, "--initial", "0,a,1,2",
+                       "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "error:" in err and "comparable" in err
+
+    @pytest.mark.parametrize("sequence", [[1.5, 2], ["2"], [True], {"sequence": [2.0]}])
+    def test_non_integer_schedule_nodes(self, complete4, tmp_path, capsys, sequence):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(sequence))
+        rc = cli.main(["simulate", "--network", complete4, "--initial", "3,1,2,0",
+                       "--schedule", str(sched)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "integer node numbers" in captured.err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n": True, "edges": [[1, 1, "1"]]},
+         {"n": 2, "edges": [[1, True, "1"], [2, 2, "1"]]},
+         {"n": 2, "edges": [[1.0, 1, "1"], [2, 2, "1"]]}],
+    )
+    def test_non_integer_network_nodes(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = cli.main(["analyze", "--network", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and "error:" in captured.err
 
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])

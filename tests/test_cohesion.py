@@ -7,9 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_network
+from conftest import random_coprime_network, random_network
 from median_consensus import (
     InfluenceNetwork,
+    _engine,
     cohesive_expansion,
     enumerate_maximal_cohesive_sets,
     fixtures,
@@ -19,22 +20,54 @@ from median_consensus import (
 )
 
 
+HALF = F(1, 2)
+
+
+def oracle_mass(net, i, members):
+    """Fraction weight node i puts on ``members``, straight from the rows."""
+    return sum((w for j, w in net.rows[i] if j in members), F(0))
+
+
+def oracle_cohesive(net, s):
+    return all(oracle_mass(net, i, s) >= HALF for i in s)
+
+
+def oracle_maximal(net, s):
+    return oracle_cohesive(net, s) and all(
+        not oracle_mass(net, o, s) > HALF for o in range(net.n) if o not in s
+    )
+
+
 def oracle_maximal_sets(net):
     """Exhaustive subset check straight from the definition, no shared code
-    with the library's integer-mask enumeration."""
-    half = F(1, 2)
-
-    def mass(i, members):
-        return sum((w for j, w in net.rows[i] if j in members), F(0))
-
+    with the library's integer enumeration."""
     found = []
     for mask in range(1, 1 << net.n):
         s = {i for i in range(net.n) if mask >> i & 1}
-        if all(mass(i, s) >= half for i in s) and all(
-            not mass(o, s) > half for o in range(net.n) if o not in s
-        ):
+        if oracle_maximal(net, s):
             found.append(frozenset(s))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def oracle_expansion(net, seed):
+    """Admit the lowest-index strict-majority outsider until none is left."""
+    current, additions = set(seed), []
+    while True:
+        qualifiers = [
+            i for i in range(net.n) if i not in current and oracle_mass(net, i, current) > HALF
+        ]
+        if not qualifiers:
+            return frozenset(current), tuple(additions)
+        current.add(min(qualifiers))
+        additions.append((min(qualifiers), len(additions) + 1))
+
+
+def differential_networks(seed, count):
+    """Small-denominator and co-prime-denominator random networks, alternating."""
+    rnd = random.Random(seed)
+    for k in range(count):
+        n = rnd.randint(1, 6)
+        yield rnd, random_network(rnd, n) if k % 2 else random_coprime_network(rnd, n)
 
 
 class TestDefinitions:
@@ -163,6 +196,36 @@ class TestEnumeration:
             fixtures.disjoint_cliques(clique_size=3, blocks=2)
         )
         assert found and len(witness) == 3
+
+
+class TestIntegerThresholdsMatchFractionOracle:
+    """The integer margins behind every threshold agree with Fraction sums."""
+
+    def test_margin_sign_matches_fraction_mass(self):
+        for rnd, net in differential_networks(0x3A7, 40):
+            members = set(rnd.sample(range(net.n), rnd.randint(0, net.n)))
+            inside = [int(i in members) for i in range(net.n)]
+            for i, row in enumerate(net.integer_rows):
+                m = _engine.margin(row, inside)
+                mass = oracle_mass(net, i, members)
+                assert (m > 0) == (mass > HALF) and (m >= 0) == (mass >= HALF)
+
+    def test_cohesive_and_maximal_on_every_subset(self):
+        for _, net in differential_networks(0xD1FF, 40):
+            for mask in range(1, 1 << net.n):
+                s = {i for i in range(net.n) if mask >> i & 1}
+                assert is_cohesive(net, s) == oracle_cohesive(net, s)
+                assert is_maximal_cohesive(net, s) == oracle_maximal(net, s)
+
+    def test_expansion(self):
+        for rnd, net in differential_networks(0xE4A, 60):
+            seed = set(rnd.sample(range(net.n), rnd.randint(1, net.n)))
+            trace = cohesive_expansion(net, seed)
+            assert (trace.result, trace.additions) == oracle_expansion(net, seed)
+
+    def test_enumeration_with_large_denominators(self):
+        for _, net in differential_networks(0xB16, 30):
+            assert enumerate_maximal_cohesive_sets(net) == oracle_maximal_sets(net)
 
 
 class TestStructuralLaws:

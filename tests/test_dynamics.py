@@ -259,3 +259,10 @@ class TestEnsemble:
     def test_replica_count_validated(self):
         with pytest.raises(ValueError):
             ensemble(fixtures.complete_uniform(3), LabelUniform(k=2), replicas=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "option", [{"budget": 0}, {"budget": -1}, {"workers": 0}, {"workers": -3}]
+    )
+    def test_counts_below_one_rejected(self, option):
+        with pytest.raises(ValueError, match="at least 1"):
+            ensemble(fixtures.complete_uniform(3), LabelUniform(k=2), replicas=2, seed=1, **option)

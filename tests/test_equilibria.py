@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_network, random_profile
+from conftest import random_coprime_network, random_network, random_profile
 from median_consensus import (
     ConsensusCertificate,
     InfluenceNetwork,
     RandomSchedule,
+    _engine,
     build_update_sequence,
     classify,
     consensus_reachability_cross_check,
@@ -23,6 +24,26 @@ from median_consensus import (
     run,
     verify_certificate,
 )
+from median_consensus.equilibria import _cohesive_pairs, _frozen_nodes
+from median_consensus.median import closest_weighted_median
+
+HALF = F(1, 2)
+
+
+def differential_networks(seed, count):
+    """Small-denominator and co-prime-denominator random networks, alternating."""
+    rnd = random.Random(seed)
+    for k in range(count):
+        n = rnd.randint(1, 6)
+        yield rnd, random_network(rnd, n) if k % 2 else random_coprime_network(rnd, n)
+
+
+def pointwise_equilibrium(net, x):
+    """Every node already sits at its closest weighted median (Fraction oracle)."""
+    return all(
+        closest_weighted_median(x, [net.weight(i, j) for j in range(net.n)], x[i]) == x[i]
+        for i in range(net.n)
+    )
 
 
 class TestStructuralCharacterization:
@@ -45,6 +66,47 @@ class TestStructuralCharacterization:
             net = random_network(rnd, rnd.randint(1, 6))
             x = random_profile(rnd, net.n)
             assert is_equilibrium_structural(net, x) == is_equilibrium(net, x)
+
+
+class TestIntegerThresholdsMatchFractionOracle:
+    def test_frozen_nodes(self):
+        for _, net in differential_networks(0xF202, 40):
+            assert _frozen_nodes(net) == [i for i in range(net.n) if net.weight(i, i) >= HALF]
+
+    def test_cohesive_pairs(self):
+        def holds(a, b):
+            return net.weight(a, a) + net.weight(a, b) >= HALF
+
+        for _, net in differential_networks(0xCA1, 40):
+            expected = [
+                [b for b in range(net.n) if b != a and holds(a, b) and holds(b, a)]
+                for a in range(net.n)
+            ]
+            assert _cohesive_pairs(net) == expected
+
+    def test_structural_on_random_states(self):
+        for rnd, net in differential_networks(0x57A7, 80):
+            x = random_profile(rnd, net.n)
+            terminal = run(net, x, RandomSchedule(seed=rnd.randrange(1000))).terminal
+            for state in (x, terminal):
+                expected = pointwise_equilibrium(net, state)
+                assert is_equilibrium_structural(net, state) == expected
+                assert is_equilibrium(net, state) == expected
+
+    def test_successors_match_median_oracle(self):
+        for rnd, net in differential_networks(0x5CC, 40):
+            x = random_profile(rnd, net.n)
+            state, table = _engine.encode_profile(x)
+            got = [
+                (i, tuple(table[v] for v in s))
+                for i, s in _engine.successors(net.integer_rows, tuple(state))
+            ]
+            expected = []
+            for i in range(net.n):
+                m = closest_weighted_median(x, [net.weight(i, j) for j in range(net.n)], x[i])
+                if m != x[i]:
+                    expected.append((i, x[:i] + (m,) + x[i + 1 :]))
+            assert got == expected
 
 
 class TestEnumerateEquilibria:

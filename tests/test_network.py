@@ -59,10 +59,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             InfluenceNetwork.from_edges(1, [(0, 0, "1/2"), (0, 0, "1/2")])
 
-    def test_row_mass(self):
-        net = fixtures.bridged_cliques(clique_size=3, cross="1/3")
-        assert net.row_mass(0, {0, 1, 2}) == F(2, 3)
-
     def test_integer_rows_reconstruct_weights(self):
         rnd = random.Random(5150)
         for _ in range(40):
