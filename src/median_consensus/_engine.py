@@ -7,6 +7,13 @@ the median update, the majority margin of a row on a node set, and the
 successors of a state all compare integer masses against the denominator.
 Dynamics, cohesion and equilibria call these functions instead of computing
 with Fractions; ``median.py`` is the readable reference.
+
+A median is read off a mass table ``{rank: integer mass}`` by
+``median_of``.  ``update_value`` builds that table from a whole row; runs
+keep one table per node instead and, on each opinion change, move the
+changed node's weight from its old rank to its new one in every listener's
+table, so a change costs one entry per listener rather than every
+listener's whole row.
 """
 
 from __future__ import annotations
@@ -37,14 +44,9 @@ def margin(row, inside) -> int:
     return 2 * mass - denom
 
 
-def update_value(int_rows, state, i):
-    """New value for node i: its closest weighted median of the profile.
-
-    Computes the median interval of the weights' support and clamps node
-    i's current value into it; values outside the support never become
-    interval endpoints, so the support is enough.
-    """
-    nbrs, wints, denom = int_rows[i]
+def row_masses(row, state) -> dict:
+    """The mass table of one ``integer_rows`` entry: rank -> integer mass."""
+    nbrs, wints, _ = row
     masses: dict = {}
     for j, w in zip(nbrs, wints):
         v = state[j]
@@ -52,24 +54,37 @@ def update_value(int_rows, state, i):
             masses[v] += w
         else:
             masses[v] = w
+    return masses
+
+
+def median_of(masses, denom, ref):
+    """Closest weighted median of a mass table, clamping ``ref`` into it.
+
+    ``masses`` maps ranks to positive integer masses summing to ``denom``.
+    The median interval starts at the first rank whose cumulative mass
+    reaches half; it also takes the next rank when that cumulative mass is
+    exactly half.  Ranks outside the table never become interval endpoints,
+    so the table is enough.
+    """
+    ranks = sorted(masses)
     below = 0
-    lo = hi = None
-    for v in sorted(masses):
-        m = masses[v]
-        above = denom - below - m
-        if 2 * below <= denom and 2 * above <= denom:
-            if lo is None:
-                lo = v
-            hi = v
-        elif lo is not None:
+    for k, v in enumerate(ranks):
+        below += masses[v]
+        if 2 * below >= denom:
+            lo = v
+            hi = ranks[k + 1] if 2 * below == denom else v
             break
-        below += m
-    ref = state[i]
     if ref < lo:
         return lo
     if ref > hi:
         return hi
     return ref
+
+
+def update_value(int_rows, state, i):
+    """New value for node i: its closest weighted median of the profile."""
+    row = int_rows[i]
+    return median_of(row_masses(row, state), row[2], state[i])
 
 
 def successors(int_rows, state: tuple):

@@ -137,16 +137,6 @@ def is_equilibrium(net: InfluenceNetwork, x: Sequence) -> bool:
     return next(_engine.successors(net.integer_rows, tuple(state)), None) is None
 
 
-def _affected_lists(net: InfluenceNetwork) -> tuple:
-    """Per node i: the nodes whose median can move when x_i changes."""
-    out = []
-    for i, listeners in enumerate(net.in_neighbors):
-        nodes = set(listeners)
-        nodes.add(i)  # the tie-break reference depends on the node's own value
-        out.append(tuple(nodes))
-    return tuple(out)
-
-
 def _random_ticks(rng: np.random.Generator, n: int, budget: int):
     remaining = budget
     while remaining > 0:
@@ -156,10 +146,20 @@ def _random_ticks(rng: np.random.Generator, n: int, budget: int):
 
 
 def _run_encoded(net, state, ticks, budget):
-    """Core loop over an encoded state; returns (steps, converged, used)."""
+    """Core loop over an encoded state; returns (steps, converged, used).
+
+    ``hist[i]`` is node i's mass table.  When node i moves, only its weight
+    in each listener's table moves, so only the listeners' medians are
+    recomputed.  Node i itself is stable after its move: its new value is a
+    median of its table, and moving its own weight onto that value (when it
+    listens to itself) keeps it one.
+    """
     rows = net.integer_rows
-    affected = _affected_lists(net)
-    med = [_engine.update_value(rows, state, i) for i in range(net.n)]
+    listeners = net.listener_weights
+    median_of = _engine.median_of
+    denoms = [row[2] for row in rows]
+    hist = [_engine.row_masses(row, state) for row in rows]
+    med = [median_of(h, d, v) for h, d, v in zip(hist, denoms, state)]
     unstable = {i for i in range(net.n) if med[i] != state[i]}
     records = []
     if not unstable:
@@ -172,8 +172,17 @@ def _run_encoded(net, state, ticks, budget):
             new = med[i]
             state[i] = new
             records.append((t, i, old, new))
-            for j in affected[i]:
-                m = _engine.update_value(rows, state, j)
+            unstable.discard(i)
+            nodes, wints = listeners[i]
+            for j, w in zip(nodes, wints):
+                h = hist[j]
+                rest = h[old] - w
+                if rest:
+                    h[old] = rest
+                else:
+                    del h[old]
+                h[new] = h.get(new, 0) + w
+                m = median_of(h, denoms[j], state[j])
                 med[j] = m
                 if m != state[j]:
                     unstable.add(j)

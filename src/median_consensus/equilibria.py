@@ -263,7 +263,7 @@ def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], t
                 schedule.append(pick)
                 # Only the pick's listeners have new margins, and no node
                 # below the pick qualified before it, so rescan from there.
-                start = min((pick + 1, *net.in_neighbors[pick]))
+                start = min((pick + 1, *net.listener_weights[pick][0]))
 
     terminal = tuple(table[v] for v in state)
     traj = run(net, tuple(vals), tuple(schedule))

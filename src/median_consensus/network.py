@@ -118,7 +118,7 @@ class InfluenceNetwork:
         """Build from ``(i, j, weight)`` triples over 0-indexed nodes."""
         acc: list[dict[int, Fraction]] = [dict() for _ in range(n)]
         for i, j, raw in edges:
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (is_json_int(i) and is_json_int(j)):
                 raise NetworkFormatError(f"edge endpoints must be ints, got ({i!r}, {j!r})")
             if not (0 <= i < n and 0 <= j < n):
                 raise NetworkFormatError(f"edge ({i}, {j}) out of range for n={n}")
@@ -153,13 +153,19 @@ class InfluenceNetwork:
         return tuple(j for j, _ in self.rows[i])
 
     @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """For each node j, the nodes that listen to j."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for j, _ in row:
-                inc[j].append(i)
-        return tuple(tuple(v) for v in inc)
+    def listener_weights(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """For each node j: the nodes i that listen to j and the integer w_ij.
+
+        Each weight is on the listener's own denominator in ``integer_rows``,
+        so a change of x_j moves exactly that mass in i's mass table.
+        """
+        nodes: list[list[int]] = [[] for _ in range(self.n)]
+        wints: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (nbrs, ws, _) in enumerate(self.integer_rows):
+            for j, w in zip(nbrs, ws):
+                nodes[j].append(i)
+                wints[j].append(w)
+        return tuple((tuple(a), tuple(b)) for a, b in zip(nodes, wints))
 
     def edges(self) -> Iterable[tuple[int, int, Fraction]]:
         for i, row in enumerate(self.rows):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import network_corpus, random_network, random_profile
+from conftest import network_corpus, random_coprime_network, random_network, random_profile
 from median_consensus import (
     EnsembleReport,
     GridUniform,
@@ -22,6 +22,29 @@ from median_consensus import (
     run,
     step,
 )
+from median_consensus import _engine, dynamics
+
+
+def _reference_run_encoded(net, state, ticks, budget):
+    """Oracle for ``dynamics._run_encoded`` without mass tables: every tick
+    re-reads the picked node's whole row, and every change is followed by a
+    check of every node."""
+    rows = net.integer_rows
+
+    def settled():
+        return all(_engine.update_value(rows, state, j) == state[j] for j in range(net.n))
+
+    records = []
+    if settled():
+        return records, True, 0
+    for t, i in enumerate(ticks, start=1):
+        new = _engine.update_value(rows, state, i)
+        if new != state[i]:
+            records.append((t, i, state[i], new))
+            state[i] = new
+            if settled():
+                return records, True, t
+    return records, False, budget
 
 
 class TestStep:
@@ -266,3 +289,63 @@ class TestEnsemble:
     def test_counts_below_one_rejected(self, option):
         with pytest.raises(ValueError, match="at least 1"):
             ensemble(fixtures.complete_uniform(3), LabelUniform(k=2), replicas=2, seed=1, **option)
+
+
+class TestIncrementalTables:
+    """``run`` and ``ensemble`` keep per-node mass tables; they must give
+    exactly what the whole-row reference loop gives."""
+
+    @staticmethod
+    def networks():
+        rnd = random.Random(0x7AB1E)
+        nets = network_corpus()
+        nets += [random_network(rnd, rnd.randint(2, 9)) for _ in range(12)]
+        nets += [random_coprime_network(rnd, rnd.randint(2, 7)) for _ in range(6)]
+        nets.append(fixtures.complete_uniform(4, self_loops=True))  # half ties
+        return nets
+
+    @staticmethod
+    def reference(monkeypatch, call):
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "_run_encoded", _reference_run_encoded)
+            return call()
+
+    def test_random_schedules(self, monkeypatch):
+        rnd = random.Random(0x5EED)
+        outcomes = set()
+        for net in self.networks():
+            for budget in (None, 1, 4, 3 * net.n):
+                x0 = random_profile(rnd, net.n, spread=rnd.choice((1, 3, 2 * net.n)))
+                schedule = RandomSchedule(seed=rnd.randrange(10**6), budget=budget)
+                fast = run(net, x0, schedule)
+                assert fast == self.reference(monkeypatch, lambda: run(net, x0, schedule))
+                outcomes.add(fast.converged)
+        assert outcomes == {True, False}
+
+    def test_explicit_schedules(self, monkeypatch):
+        rnd = random.Random(0xD1FF)
+        outcomes = set()
+        for net in self.networks():
+            for _ in range(4):
+                x0 = random_profile(rnd, net.n, spread=rnd.choice((1, 3, 2 * net.n)))
+                seq = [rnd.randrange(net.n) for _ in range(rnd.randint(1, 6 * net.n))]
+                fast = run(net, x0, seq)
+                assert fast == self.reference(monkeypatch, lambda: run(net, x0, seq))
+                outcomes.add(fast.converged)
+        assert outcomes == {True, False}
+
+    def test_ensembles_at_one_and_two_workers(self, monkeypatch):
+        nets = self.networks()
+        picks = [nets[1], nets[3], nets[10], nets[-3], nets[-1]]
+        for k, net in enumerate(picks):
+            for source in (LabelUniform(k=3), GridUniform(points=9)):
+                for budget in (None, 5):
+                    def call(workers):
+                        rep = ensemble(net, source, replicas=6, seed=k, budget=budget,
+                                       workers=workers)
+                        return rep.to_json_dict()
+
+                    expected = self.reference(monkeypatch, lambda: call(1))
+                    assert call(1) == expected
+                    if budget is None:
+                        assert call(2) == expected

@@ -6,9 +6,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_weights
 from median_consensus import (
+    InfluenceNetwork,
+    _engine,
     closest_weighted_median,
     l1_best_responses,
     to_fraction,
@@ -172,3 +176,40 @@ class TestRandomizedAgreement:
                 assert got == med[-1]
             else:
                 assert got == ref
+
+
+@st.composite
+def cleared_rows(draw):
+    """Node 0's row of a network, cleared to integers, with a rank profile.
+
+    Weights are either arbitrary rationals or small equal-ish integers,
+    which make exact half ties common; ranks come from a few labels so
+    values repeat.
+    """
+    size = draw(st.integers(1, 8))
+    parts = st.one_of(
+        st.builds(F, st.integers(1, 40), st.integers(1, 40)),
+        st.integers(1, 3).map(F),
+    )
+    raw = draw(st.lists(parts, min_size=size, max_size=size))
+    n = size + 1
+    edges = [(0, j, w) for j, w in enumerate(raw, start=1)]
+    edges += [(j, j, 1) for j in range(1, n)]
+    net = InfluenceNetwork.from_edges(n, edges, normalize=True)
+    labels = draw(st.integers(0, 5))
+    state = draw(st.lists(st.integers(0, labels), min_size=n, max_size=n))
+    return net, state
+
+
+class TestEngineMedian:
+    @settings(max_examples=200, deadline=None)
+    @given(cleared_rows())
+    def test_median_of_matches_closest_weighted_median(self, case):
+        net, state = case
+        row = net.integer_rows[0]
+        masses = _engine.row_masses(row, state)
+        values = tuple(state[j] for j, _ in net.rows[0])
+        weights = tuple(w for _, w in net.rows[0])
+        for ref in range(-1, max(state) + 2):
+            expected = closest_weighted_median(values + (ref,), weights + (F(0),), ref)
+            assert _engine.median_of(masses, row[2], ref) == expected

@@ -68,11 +68,26 @@ class TestConstruction:
                 for j, wi in zip(nbrs, wints):
                     assert F(wi, denom) == net.weight(i, j)
 
-    def test_in_neighbors_inverts_out(self):
-        net = fixtures.directed_ring(4)
-        for i in range(4):
-            for j in net.out_neighbors(i):
-                assert i in net.in_neighbors[j]
+    @pytest.mark.parametrize("edge", [(True, 0, 1), (0, False, 1)])
+    def test_from_edges_rejects_bool_endpoints(self, edge):
+        with pytest.raises(NetworkFormatError, match="must be ints"):
+            InfluenceNetwork.from_edges(2, [edge, (1, 1, 1)])
+
+    def test_listener_weights_invert_integer_rows(self):
+        rnd = random.Random(6006)
+        for _ in range(40):
+            net = random_network(rnd, rnd.randint(1, 7))
+            pairs = {
+                (i, j): w
+                for i, (nbrs, wints, _) in enumerate(net.integer_rows)
+                for j, w in zip(nbrs, wints)
+            }
+            inverted = {
+                (i, j): w
+                for j, (nodes, wints) in enumerate(net.listener_weights)
+                for i, w in zip(nodes, wints)
+            }
+            assert inverted == pairs
 
 
 class TestFormats:
