@@ -40,7 +40,6 @@ from .equilibria import (
     verify_certificate,
 )
 from .hardness import (
-    DEFAULT_REDUCTION_DECISION_BOUND,
     brute_force_nae3sat,
     build_svc_graph,
     certificate_from_assignment,
@@ -412,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="build the gadget network for an NAE3SAT instance")
     p.add_argument("--instance", required=True, help="instance file (p nae3sat header)")
     p.add_argument("--solve", action="store_true", help="also decide satisfiability and emit a certificate")
-    p.add_argument("--bound", type=int, default=DEFAULT_REDUCTION_DECISION_BOUND)
     p.add_argument("--cert-out", default=None, dest="cert_out")
     p.add_argument("--out", default=None)
     p.add_argument("--emit", choices=["json", "dot"], default="json")

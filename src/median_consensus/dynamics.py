@@ -16,7 +16,6 @@ seed, so results do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,8 +38,6 @@ __all__ = [
     "run",
     "ensemble",
 ]
-
-THREADS_ENV_VAR = "MEDIAN_CONSENSUS_THREADS"
 
 
 def default_budget(n: int) -> int:
@@ -314,17 +311,6 @@ def _replica_job(r):
     return _replica_summary(net, x0_source, base_seed, r, budget)
 
 
-def _env_thread_cap() -> int | None:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, cap)
-
-
 def ensemble(
     net: InfluenceNetwork,
     x0_source,
@@ -339,10 +325,9 @@ def ensemble(
     ``x0_source`` is either a fixed state or a distribution object with a
     ``draw(rng, n)`` method (:class:`LabelUniform`, :class:`GridUniform`).
     Replica ``r`` derives its own generator from ``[seed, r]``, so reports
-    are identical for any worker count.  Parallel workers are processes
-    that receive the network once; the ``MEDIAN_CONSENSUS_THREADS``
-    environment variable caps them.  ``budget`` and ``workers`` must be at
-    least 1.
+    are identical for any worker count.  ``workers`` processes (default 1,
+    never more than ``replicas``) run the replicas and receive the network
+    once.  ``budget`` and ``workers`` must be at least 1.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -352,9 +337,6 @@ def ensemble(
     eff_workers = workers if workers is not None else 1
     if eff_workers < 1:
         raise ValueError("workers must be at least 1")
-    cap = _env_thread_cap()
-    if cap is not None:
-        eff_workers = min(eff_workers, cap)
     eff_workers = min(eff_workers, replicas)
 
     if eff_workers == 1:

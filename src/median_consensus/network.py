@@ -1,9 +1,13 @@
 """Row-stochastic influence networks with exact rational weights.
 
-A network over nodes ``0..n-1`` stores, per node, its out-edges ``(j, w_ij)``
-with ``w_ij`` a positive Fraction; each row sums to exactly 1.  Node ``i``
-listening to ``j`` means ``w_ij > 0``.  File formats (dense CSV and an edge
-list in JSON) use 1-indexed nodes; the in-memory API is 0-indexed.
+A network over nodes ``0..n-1`` stores each row as integers: node i's
+out-neighbors ``j``, positive integer weights, and the common denominator
+they sum to, so that w_ij is a weight over that denominator and each row
+sums to exactly 1.  Every half-threshold test reads this integer form; the
+``Fraction`` weights are a view derived from it for export and inspection
+(``rows``, ``weight``, ``edges``).  Node ``i`` listening to ``j`` means
+``w_ij > 0``.  File formats (dense CSV and an edge list in JSON) use
+1-indexed nodes; the in-memory API is 0-indexed.
 
 A link ``(i, j)`` is *decisive* when some subset of i's out-neighbors
 containing j has weight strictly above 1/2 but drops strictly below 1/2 once
@@ -55,102 +59,73 @@ class NetworkFormatError(ValueError):
 class InfluenceNetwork:
     """Immutable weighted directed network with row-stochastic weights.
 
-    Construction validates every row and clears it to integers in one pass:
-    ``integer_rows[i]`` is ``(neighbor indices, integer weights, common
-    denominator)``, the form every half-threshold test in ``_engine`` uses.
+    ``integer_rows[i]`` is ``(neighbor indices, integer weights,
+    denominator)``: the indices increase, the weights are positive and sum
+    to the denominator, and the row is in lowest terms.  Equal weights
+    therefore give equal rows, whichever constructor built them, and
+    networks compare and hash by their weights.  Every constructor ends in
+    ``__post_init__``, the one place where rows are validated.  ``rows``,
+    ``weight`` and ``edges`` are ``Fraction`` views derived from the
+    integer rows.
     """
 
     n: int
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+    integer_rows: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise NetworkFormatError("network needs at least one node")
-        if len(self.rows) != self.n:
-            raise NetworkFormatError(f"expected {self.n} rows, got {len(self.rows)}")
-        cleared = []
-        for i, row in enumerate(self.rows):
-            seen = set()
-            for j, w in row:
-                if not 0 <= j < self.n:
-                    raise NetworkFormatError(f"row {i}: neighbor index {j} out of range")
-                if j in seen:
-                    raise NetworkFormatError(f"row {i}: duplicate edge to {j}")
-                seen.add(j)
-                if not isinstance(w, Fraction):
-                    raise NetworkFormatError(f"row {i}: weight on {j} is not a Fraction")
-                if w.numerator <= 0:
-                    raise NetworkFormatError(
-                        f"row {i}: weight on {j} must be positive (drop zero entries)"
-                    )
-            denom = math.lcm(*(w.denominator for _, w in row))
-            wints = tuple(w.numerator * (denom // w.denominator) for _, w in row)
-            if sum(wints) != denom:
-                total = sum((w for _, w in row), Fraction(0))
-                raise NetworkFormatError(f"row {i} sums to {total}, expected exactly 1")
-            cleared.append((tuple(j for j, _ in row), wints, denom))
-        object.__setattr__(self, "integer_rows", tuple(cleared))
+        n = self.n
+        if not is_json_int(n) or n < 1:
+            raise NetworkFormatError(f"invalid node count {n!r}: a network needs at least one node")
+        if len(self.integer_rows) != n:
+            raise NetworkFormatError(f"expected {n} rows, got {len(self.integer_rows)}")
+        for i, (nbrs, wints, denom) in enumerate(self.integer_rows):
+            fault = _row_fault(nbrs, wints, denom, n)
+            if fault is not None:
+                raise NetworkFormatError(f"row {i}: {fault}")
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "InfluenceNetwork":
         """Build from a dense matrix (any Fraction-convertible entries)."""
-        n = len(rows)
-        packed = []
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise NetworkFormatError(f"row {i} has {len(row)} entries, expected {n}")
-            entries = []
-            for j, raw in enumerate(row):
-                w = to_fraction(raw)
-                if w < 0:
-                    raise NetworkFormatError(f"row {i}: negative weight on {j}")
-                if w:
-                    entries.append((j, w))
-            packed.append(tuple(entries))
-        return InfluenceNetwork(n, tuple(packed))
+        return _dense_network(len(rows), rows)
 
     @staticmethod
     def from_edges(
         n: int, edges: Iterable[tuple], *, normalize: bool = False
     ) -> "InfluenceNetwork":
-        """Build from ``(i, j, weight)`` triples over 0-indexed nodes."""
-        acc: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-        for i, j, raw in edges:
-            if not (is_json_int(i) and is_json_int(j)):
-                raise NetworkFormatError(f"edge endpoints must be ints, got ({i!r}, {j!r})")
-            if not (0 <= i < n and 0 <= j < n):
-                raise NetworkFormatError(f"edge ({i}, {j}) out of range for n={n}")
-            w = to_fraction(raw)
-            if w < 0:
-                raise NetworkFormatError(f"edge ({i}, {j}): negative weight")
-            if j in acc[i]:
-                raise NetworkFormatError(f"duplicate edge ({i}, {j})")
-            if w:
-                acc[i][j] = w
-        rows = []
-        for i, row in enumerate(acc):
-            if normalize:
-                total = sum(row.values(), Fraction(0))
-                if total == 0:
-                    raise NetworkFormatError(f"row {i} has zero total weight, cannot normalize")
-                row = {j: w / total for j, w in row.items()}
-            rows.append(tuple(sorted(row.items())))
-        return InfluenceNetwork(n, tuple(rows))
+        """Build from ``(i, j, weight)`` triples over 0-indexed nodes.
 
-    # -- queries ----------------------------------------------------------
+        With ``normalize`` each row is divided by its sum; otherwise rows
+        must already sum to exactly 1.
+        """
+        return _edge_network(n, edges, normalize, base=0)
+
+    # -- Fraction views -----------------------------------------------------
 
     @cached_property
-    def _row_maps(self) -> tuple[dict, ...]:
-        return tuple(dict(row) for row in self.rows)
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Row i as ``(j, w_ij)`` pairs with ``Fraction`` weights."""
+        return tuple(
+            tuple((j, Fraction(w, denom)) for j, w in zip(nbrs, wints))
+            for nbrs, wints, denom in self.integer_rows
+        )
 
     def weight(self, i: int, j: int) -> Fraction:
         """w_ij, zero when i does not listen to j."""
-        return self._row_maps[i].get(j, Fraction(0))
+        nbrs, wints, denom = self.integer_rows[i]
+        return Fraction(wints[nbrs.index(j)], denom) if j in nbrs else Fraction(0)
+
+    def edges(self) -> Iterable[tuple[int, int, Fraction]]:
+        """``(i, j, w_ij)`` for every link, row by row."""
+        for i, (nbrs, wints, denom) in enumerate(self.integer_rows):
+            for j, w in zip(nbrs, wints):
+                yield i, j, Fraction(w, denom)
+
+    # -- integer queries ----------------------------------------------------
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.rows[i])
+        return self.integer_rows[i][0]
 
     @cached_property
     def listener_weights(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -167,14 +142,83 @@ class InfluenceNetwork:
                 wints[j].append(w)
         return tuple((tuple(a), tuple(b)) for a, b in zip(nodes, wints))
 
-    def edges(self) -> Iterable[tuple[int, int, Fraction]]:
-        for i, row in enumerate(self.rows):
-            for j, w in row:
-                yield i, j, w
-
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(len(nbrs) for nbrs, _, _ in self.integer_rows)
+
+
+def _row_fault(nbrs, wints, denom, n: int) -> str | None:
+    """What is wrong with one stored row, or None when it is valid."""
+    if len(nbrs) != len(wints):
+        return f"{len(nbrs)} neighbors but {len(wints)} weights"
+    for j in nbrs:
+        if not (is_json_int(j) and 0 <= j < n):
+            return f"edge endpoints must be ints in 0..{n - 1}, got {j!r}"
+    for a, b in zip(nbrs, nbrs[1:]):
+        if a >= b:
+            return f"duplicate edge to {a}" if a == b else "neighbor indices must increase"
+    for j, w in zip(nbrs, wints):
+        if not (is_json_int(w) and w > 0):
+            return f"weight on {j} must be positive (integer numerator, got {w!r})"
+    if not (is_json_int(denom) and denom > 0):
+        return f"denominator must be a positive int, got {denom!r}"
+    total = sum(wints)
+    if total != denom:
+        return f"weights sum to {Fraction(total, denom)}, expected exactly 1"
+    common = math.gcd(*wints)
+    if common != 1:
+        return f"weights and denominator share the factor {common}; store the row in lowest terms"
+    return None
+
+
+def _cleared(entries: list[tuple[int, Fraction]], normalize: bool = False) -> tuple:
+    """A row to store from ``(j, w)`` pairs of nonzero Fractions, unvalidated.
+
+    The weights become integers over their least common denominator; with
+    ``normalize`` the denominator is their sum, reduced by their gcd.
+    """
+    try:
+        entries.sort(key=lambda entry: entry[0])
+    except TypeError:
+        pass  # a non-int index; __post_init__ names it
+    denom = math.lcm(*(w.denominator for _, w in entries))
+    wints = tuple(w.numerator * (denom // w.denominator) for _, w in entries)
+    if normalize and wints:
+        common = math.gcd(*wints)
+        wints = tuple(w // common for w in wints)
+        denom = sum(wints)
+    return tuple(j for j, _ in entries), wints, denom
+
+
+def _dense_network(n: int, rows: Sequence[Sequence]) -> InfluenceNetwork:
+    """Network from ``rows`` of ``n`` weights each; zero entries are dropped."""
+    cleared = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NetworkFormatError(f"row {i} has {len(row)} entries, expected {n}")
+        weights = map(to_fraction, row)
+        cleared.append(_cleared([(j, w) for j, w in enumerate(weights) if w]))
+    return InfluenceNetwork(n, tuple(cleared))
+
+
+def _edge_network(n: int, edges: Iterable, normalize: bool, base: int) -> InfluenceNetwork:
+    """Network from ``(i, j, weight)`` triples whose nodes count from ``base``."""
+    buckets: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for entry in edges:
+        try:
+            i, j, raw = entry
+        except (TypeError, ValueError):
+            raise NetworkFormatError(f"edge entry {entry!r} must be [i, j, weight]") from None
+        if not (is_json_int(i) and base <= i < n + base):
+            raise NetworkFormatError(
+                f"edge ({i!r}, {j!r}): endpoints must be ints in {base}..{n - 1 + base}"
+            )
+        w = to_fraction(raw)
+        if w:
+            # Only a plain int is shifted; anything else reaches
+            # __post_init__ as given, and it names it.
+            buckets[i - base].append((j - base if type(j) is int else j, w))
+    return InfluenceNetwork(n, tuple(_cleared(row, normalize) for row in buckets))
 
 
 # -- file formats ----------------------------------------------------------
@@ -194,25 +238,20 @@ def network_from_csv_text(text: str) -> InfluenceNetwork:
         n = int(lines[0])
     except ValueError as exc:
         raise NetworkFormatError(f"CSV header must be the node count, got {lines[0]!r}") from exc
-    if len(lines) != n + 1:
-        raise NetworkFormatError(f"expected {n} weight rows after header, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != n:
-            raise NetworkFormatError(f"row has {len(cells)} entries, expected {n}")
-        rows.append(cells)
+    rows = [[c.strip() for c in ln.split(",")] for ln in lines[1:]]
     try:
-        return InfluenceNetwork.from_rows(rows)
+        return _dense_network(n, rows)
     except (TypeError, ValueError) as exc:
         raise NetworkFormatError(str(exc)) from exc
 
 
 def network_to_csv_text(net: InfluenceNetwork) -> str:
     lines = [str(net.n)]
-    for i in range(net.n):
-        row = net._row_maps[i]
-        lines.append(",".join(str(row.get(j, Fraction(0))) for j in range(net.n)))
+    for nbrs, wints, denom in net.integer_rows:
+        cells = ["0"] * net.n
+        for j, w in zip(nbrs, wints):
+            cells[j] = str(Fraction(w, denom))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +261,8 @@ def network_from_json_dict(payload: dict) -> InfluenceNetwork:
     Schema: ``{"n": int, "normalize": bool, "edges": [[i, j, "p/q"], ...]}``
     with 1-indexed node numbers.  When ``normalize`` is true each row is
     divided by its sum; otherwise rows must already sum to exactly 1.
-    Unknown keys (e.g. role annotations) are ignored.
+    Unknown keys (e.g. role annotations) are ignored.  Row faults found
+    after parsing name nodes 0-indexed, as the in-memory API does.
     """
     if not isinstance(payload, dict):
         raise NetworkFormatError("JSON network payload must be an object")
@@ -231,21 +271,13 @@ def network_from_json_dict(payload: dict) -> InfluenceNetwork:
         edges = payload["edges"]
     except KeyError as exc:
         raise NetworkFormatError(f"JSON network payload missing key {exc}") from exc
-    if not is_json_int(n) or n < 1:
-        raise NetworkFormatError(f"invalid node count {n!r}")
+    if not isinstance(edges, list):
+        raise NetworkFormatError(f"'edges' must be a list of [i, j, weight], got {edges!r}")
     normalize = payload.get("normalize", False)
     if not isinstance(normalize, bool):
         raise NetworkFormatError("'normalize' must be a boolean")
-    converted = []
-    for entry in edges:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise NetworkFormatError(f"edge entry {entry!r} must be [i, j, weight]")
-        i, j, raw = entry
-        if not (is_json_int(i) and is_json_int(j) and 1 <= i <= n and 1 <= j <= n):
-            raise NetworkFormatError(f"edge ({i!r}, {j!r}) must use 1-indexed nodes in 1..{n}")
-        converted.append((i - 1, j - 1, raw))
     try:
-        return InfluenceNetwork.from_edges(n, converted, normalize=normalize)
+        return _edge_network(n, edges, normalize, base=1)
     except (TypeError, ValueError) as exc:
         raise NetworkFormatError(str(exc)) from exc
 
@@ -386,66 +418,36 @@ class DecisiveSubgraph:
     @property
     def indecisive_edges(self) -> frozenset:
         return frozenset(
-            (i, j) for i, j, _ in self.network.edges() if (i, j) not in self.edges
+            (i, j)
+            for i, (nbrs, _, _) in enumerate(self.network.integer_rows)
+            for j in nbrs
+            if (i, j) not in self.edges
         )
 
 
 def decisive_subgraph(net: InfluenceNetwork) -> DecisiveSubgraph:
     """Classify every edge of the network as decisive or not."""
     kept = frozenset(
-        (i, j) for i, j, _ in net.edges() if is_decisive(net, i, j)
+        (i, j)
+        for i, (nbrs, _, _) in enumerate(net.integer_rows)
+        for j in nbrs
+        if is_decisive(net, i, j)
     )
     return DecisiveSubgraph(network=net, edges=kept)
 
 
-def _strongly_connected_components(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan SCC over an adjacency list."""
-    index = [0] * n
-    low = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 1
-    for root in range(n):
-        if state[root]:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        state[root] = 1
-        stack.append(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    state[w] = 1
-                    stack.append(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if state[w] == 1:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    state[w] = 2
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
+def _reach(adj: Sequence[Sequence[int]], start: int, seen: list[bool]) -> int:
+    """Mark the unseen nodes reachable from ``start`` along ``adj``; count them."""
+    seen[start] = True
+    stack = [start]
+    count = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+                count += 1
+    return count
 
 
 def has_globally_reachable_node(
@@ -453,32 +455,31 @@ def has_globally_reachable_node(
 ) -> tuple[bool, int | None]:
     """Whether some node is reachable from every node along the given links.
 
-    Accepts a decisive subgraph or a whole network.  Computed by
-    condensation: such a node exists iff the strongly connected components
-    of the graph have a unique sink component.  The witness is the smallest
-    node of that component.
+    Accepts a decisive subgraph or a whole network.  Such nodes exist iff
+    the graph has a unique sink strongly connected component, and they are
+    its members.  The witness is its smallest node, found by sweeping the
+    reversed links from each unseen node in index order: nodes outside the
+    sink component only reach back to nodes outside it, so the sweep first
+    meets the component at its smallest node, which reaches back to every
+    node and is therefore the sweep's last root.
     """
     if isinstance(sub, InfluenceNetwork):
         n = sub.n
-        pairs: Iterable[tuple[int, int]] = ((i, j) for i, j, _ in sub.edges())
+        pairs: Iterable[tuple[int, int]] = (
+            (i, j) for i, (nbrs, _, _) in enumerate(sub.integer_rows) for j in nbrs
+        )
     else:
         n = sub.network.n
         pairs = sub.edges
-    adj: list[list[int]] = [[] for _ in range(n)]
+    listeners: list[list[int]] = [[] for _ in range(n)]
     for i, j in pairs:
-        if i != j:
-            adj[i].append(j)
-    comps = _strongly_connected_components(n, adj)
-    comp_id = [0] * n
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = cid
-    is_sink = [True] * len(comps)
-    for i in range(n):
-        for j in adj[i]:
-            if comp_id[i] != comp_id[j]:
-                is_sink[comp_id[i]] = False
-    sinks = [cid for cid, flag in enumerate(is_sink) if flag]
-    if len(sinks) == 1:
-        return True, min(comps[sinks[0]])
-    return False, None
+        listeners[j].append(i)
+    seen = [False] * n
+    root = 0
+    for v in range(n):
+        if not seen[v]:
+            _reach(listeners, v, seen)
+            root = v
+    if _reach(listeners, root, [False] * n) < n:
+        return False, None
+    return True, root

@@ -45,8 +45,8 @@ def random_network(rnd: random.Random, n: int, max_den: int = 24,
 _PRIMES = (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151)
 
 
-def random_coprime_network(rnd: random.Random, n: int) -> InfluenceNetwork:
-    """Random network whose rows mix co-prime denominators.
+def random_coprime_rows(rnd: random.Random, n: int) -> list[list[Fraction]]:
+    """Random dense rows that mix co-prime denominators.
 
     Each row takes weights ``a/p`` over distinct primes ``p`` and gives the
     remainder to one more entry, so a row's common denominator is the
@@ -62,7 +62,12 @@ def random_coprime_network(rnd: random.Random, n: int) -> InfluenceNetwork:
         for j, w in zip(support, weights):
             row[j] = w
         dense.append(row)
-    return InfluenceNetwork.from_rows(dense)
+    return dense
+
+
+def random_coprime_network(rnd: random.Random, n: int) -> InfluenceNetwork:
+    """Random network built from :func:`random_coprime_rows`."""
+    return InfluenceNetwork.from_rows(random_coprime_rows(rnd, n))
 
 
 def random_weights(rnd: random.Random, n: int, max_den: int = 24,

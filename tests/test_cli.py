@@ -273,6 +273,14 @@ class TestReduce:
         assert payload["result"]["satisfiable"] is None
         assert payload["result"]["network"]["n"] == 10
 
+    def test_no_bound_option(self, tmp_path, capsys):
+        inst = tmp_path / "inst.cnf"
+        inst.write_text("p nae3sat 2 1\n1 1 2\n")
+        rc = cli.main(["reduce", "--instance", str(inst), "--solve"])
+        assert rc == 0 and "bound" not in _capture(capsys)["config"]
+        rc = cli.main(["reduce", "--instance", str(inst), "--bound", "13"])
+        assert rc == 1 and "unrecognized arguments" in capsys.readouterr().err
+
     def test_dot_emission(self, tmp_path, capsys):
         inst = tmp_path / "inst.cnf"
         inst.write_text("p nae3sat 2 1\n1 1 2\n")
@@ -328,6 +336,15 @@ class TestErrorPaths:
         rc = cli.main(["analyze", "--network", str(bad)])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and "error:" in captured.err
+
+    @pytest.mark.parametrize("edges", [5, None])
+    def test_network_edges_not_a_list(self, tmp_path, capsys, edges):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "edges": edges}))
+        rc = cli.main(["analyze", "--network", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "error:" in captured.err and "'edges' must be a list" in captured.err
 
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])

@@ -258,14 +258,6 @@ class TestEnsemble:
         parallel = ensemble(net, LabelUniform(k=3), replicas=24, seed=6, workers=3)
         assert serial == parallel and serial.census == parallel.census
 
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("MEDIAN_CONSENSUS_THREADS", "1")
-        net = fixtures.complete_uniform(4)
-        capped = ensemble(net, LabelUniform(k=2), replicas=12, seed=8, workers=4)
-        monkeypatch.delenv("MEDIAN_CONSENSUS_THREADS")
-        free = ensemble(net, LabelUniform(k=2), replicas=12, seed=8, workers=4)
-        assert capped == free
-
     def test_fixed_initial_census_single_pattern(self):
         net = fixtures.disjoint_cliques(clique_size=3, blocks=2)
         rep = ensemble(net, (0, 0, 0, 1, 1, 1), replicas=10, seed=3)

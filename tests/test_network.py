@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_network
+from conftest import random_coprime_rows, random_network
 from median_consensus import InfluenceNetwork, fixtures
+from median_consensus.dynamics import RandomSchedule, run
 from median_consensus.network import (
     NetworkFormatError,
     decisive_subgraph,
@@ -90,6 +94,170 @@ class TestConstruction:
             assert inverted == pairs
 
 
+def _direct(*rows, n=None):
+    return InfluenceNetwork(len(rows) if n is None else n, tuple(rows))
+
+
+# One bad network per rule and construction path; every one of them is
+# refused by InfluenceNetwork.__post_init__ (or, for an edge's source node,
+# by the edge-list builder, which buckets edges by it).
+_RULE_CASES = {
+    "count-direct": (lambda: _direct(n=0), "node count"),
+    "count-bool": (lambda: _direct(((0,), (1,), 1), n=True), "node count"),
+    "count-edges": (lambda: InfluenceNetwork.from_edges(0, []), "node count"),
+    "count-csv": (lambda: network_from_csv_text("0\n"), "node count"),
+    "count-json": (lambda: network_from_json_dict({"n": 0, "edges": []}), "node count"),
+    "rows-direct": (lambda: _direct(((0,), (1,), 1), n=2), "expected 2 rows"),
+    "rows-csv": (lambda: network_from_csv_text("2\n1/2,1/2\n"), "expected 2 rows"),
+    "index-direct": (lambda: _direct(((1,), (1,), 1)), "must be ints"),
+    "index-negative": (lambda: _direct(((-1,), (1,), 1)), "must be ints"),
+    "index-bool": (lambda: _direct(((False,), (1,), 1)), "must be ints"),
+    "index-edges": (lambda: InfluenceNetwork.from_edges(1, [(0, 1, 1)]), "must be ints"),
+    "index-json": (
+        lambda: network_from_json_dict({"n": 1, "edges": [[1, 2, "1"]]}), "must be ints"
+    ),
+    "index-json-float": (
+        lambda: network_from_json_dict({"n": 1, "edges": [[1, 1.0, "1"]]}), "must be ints"
+    ),
+    "index-json-mixed": (
+        lambda: network_from_json_dict({"n": 2, "edges": [[1, 2, "1/2"], [1, "a", "1/2"]]}),
+        "must be ints",
+    ),
+    "entry-json": (
+        lambda: network_from_json_dict({"n": 1, "edges": [[1, 1]]}), r"must be \[i, j, weight\]"
+    ),
+    "source-edges": (lambda: InfluenceNetwork.from_edges(1, [(1, 0, 1)]), "must be ints"),
+    "source-json": (
+        lambda: network_from_json_dict({"n": 1, "edges": [[0, 1, "1"]]}), "must be ints"
+    ),
+    "duplicate-direct": (lambda: _direct(((0, 0), (1, 1), 2)), "duplicate"),
+    "duplicate-json": (
+        lambda: network_from_json_dict({"n": 1, "edges": [[1, 1, "1/2"], [1, 1, "1/2"]]}),
+        "duplicate",
+    ),
+    "order-direct": (
+        lambda: _direct(((1, 0), (1, 1), 2), ((1,), (1,), 1)), "must increase"
+    ),
+    "sign-direct": (lambda: _direct(((0,), (0,), 0)), "positive"),
+    "sign-rows": (lambda: InfluenceNetwork.from_rows([[F(3, 2), F(-1, 2)], [0, 1]]), "positive"),
+    "sign-edges": (
+        lambda: InfluenceNetwork.from_edges(2, [(0, 0, 2), (0, 1, -1), (1, 1, 1)]), "positive"
+    ),
+    "sign-csv": (lambda: network_from_csv_text("1\n-1\n"), "positive"),
+    "sign-json": (
+        lambda: network_from_json_dict({"n": 1, "normalize": True, "edges": [[1, 1, "-2"]]}),
+        "positive",
+    ),
+    "weight-type-direct": (lambda: _direct(((0,), (True,), 1)), "positive"),
+    "sum-direct": (lambda: _direct(((0,), (1,), 2)), "sum"),
+    "sum-empty": (lambda: InfluenceNetwork.from_edges(1, []), "sum"),
+    "sum-rows": (lambda: InfluenceNetwork.from_rows([[F(1, 2)]]), "sum"),
+    "sum-edges": (lambda: InfluenceNetwork.from_edges(1, [(0, 0, "1/2")]), "sum"),
+    "sum-csv": (lambda: network_from_csv_text("1\n1/2\n"), "sum"),
+    "sum-json": (lambda: network_from_json_dict({"n": 1, "edges": [[1, 1, "1/2"]]}), "sum"),
+    "denominator-direct": (lambda: _direct(((), (), 0)), "denominator"),
+    "lowest-terms-direct": (lambda: _direct(((0,), (2,), 2)), "lowest terms"),
+    "shape-direct": (lambda: _direct(((0,), (1, 1), 2)), "neighbors but"),
+}
+
+
+class TestStoredForm:
+    def test_fields_are_n_and_integer_rows(self):
+        assert [f.name for f in dataclasses.fields(InfluenceNetwork)] == ["n", "integer_rows"]
+        assert not hasattr(InfluenceNetwork, "_row_maps")
+
+    def test_load_run_and_verdicts_build_no_fractions(self, tmp_path):
+        path = tmp_path / "lattice.json"
+        save_network(fixtures.lattice(4, 5), path)
+        net = load_network(path)
+        run(net, tuple(i % 3 for i in range(net.n)), RandomSchedule(seed=4))
+        sub = decisive_subgraph(net)
+        assert sub.edges and sub.indecisive_edges
+        has_globally_reachable_node(sub)
+        assert has_globally_reachable_node(net)[0]
+        assert net.edge_count == 20 + 2 * (3 * 5 + 4 * 4)
+        assert "rows" not in net.__dict__
+        assert all(type(x) is int for _, wints, d in net.integer_rows for x in wints + (d,))
+
+    def test_fraction_views(self):
+        net = _direct(((0, 1), (3, 2), 5), ((1,), (1,), 1))
+        assert net.rows == (((0, F(3, 5)), (1, F(2, 5))), ((1, F(1)),))
+        assert net.weight(0, 1) == F(2, 5) and net.weight(1, 0) == 0
+        assert list(net.edges()) == [(0, 0, F(3, 5)), (0, 1, F(2, 5)), (1, 1, F(1))]
+        assert net.out_neighbors(0) == (0, 1)
+
+    def test_normalize_stores_lowest_terms(self):
+        net = InfluenceNetwork.from_edges(2, [(0, 1, 4), (0, 0, 2), (1, 1, "3/7")], normalize=True)
+        assert net.integer_rows == (((0, 1), (1, 2), 3), ((1,), (1,), 1))
+
+    def test_every_path_stores_equal_weights_equally(self):
+        direct = _direct(((0, 1), (1, 2), 3), ((1,), (1,), 1))
+        built = [
+            InfluenceNetwork.from_rows([[F(1, 3), F(2, 3)], [F(0), F(1)]]),
+            InfluenceNetwork.from_edges(2, [(1, 1, 1), (0, 1, "2/3"), (0, 0, F(2, 6))]),
+            InfluenceNetwork.from_edges(2, [(0, 0, 2), (0, 1, 4), (1, 1, 5)], normalize=True),
+            network_from_csv_text("2\n1/3,2/3\n0,1\n"),
+            network_from_json_dict(
+                {"n": 2, "normalize": True, "edges": [[1, 2, "0.5"], [1, 1, "1/4"], [2, 2, "9"]]}
+            ),
+        ]
+        assert all(net == direct for net in built)
+        assert {hash(net) for net in built} == {hash(direct)}
+
+    @pytest.mark.parametrize("case", sorted(_RULE_CASES))
+    def test_each_rule_is_enforced_on_every_path(self, case):
+        build, match = _RULE_CASES[case]
+        with pytest.raises(NetworkFormatError, match=match):
+            build()
+
+
+@st.composite
+def built_networks(draw):
+    """A network and the dense Fraction rows it was built from.
+
+    Either a JSON edge-list payload of random rational rows, shuffled, with
+    explicit zero entries and possibly ``normalize: true``, or the dense
+    rows of ``conftest.random_coprime_rows``.
+    """
+    if draw(st.booleans()):
+        seed, n = draw(st.integers(0, 2**32)), draw(st.integers(1, 6))
+        dense = random_coprime_rows(random.Random(seed), n)
+        return InfluenceNetwork.from_rows(dense), dense
+    n = draw(st.integers(1, 6))
+    normalize = draw(st.booleans())
+    dense, edges = [], []
+    for i in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        raw = [draw(st.builds(F, st.integers(1, 50), st.integers(1, 50))) for _ in support]
+        total = sum(raw)
+        given_weights = raw if normalize else [w / total for w in raw]
+        row = [F(0)] * n
+        for j, w, g in zip(support, raw, given_weights):
+            row[j] = w / total
+            edges.append([i + 1, j + 1, str(g)])
+        for j in range(n):
+            if row[j] == 0 and draw(st.booleans()):
+                edges.append([i + 1, j + 1, "0"])
+        dense.append(row)
+    edges = draw(st.permutations(edges))
+    payload = {"n": n, "normalize": normalize, "edges": list(edges)}
+    return network_from_json_dict(json.loads(json.dumps(payload))), dense
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(built_networks())
+    def test_formats_round_trip_to_the_built_weights(self, case):
+        net, dense = case
+        via_json = network_from_json_dict(json.loads(json.dumps(network_to_json_dict(net))))
+        via_csv = network_from_csv_text(network_to_csv_text(net))
+        for back in (via_json, via_csv):
+            assert back == net and hash(back) == hash(net)
+        for i, row in enumerate(dense):
+            assert net.rows[i] == tuple((j, w) for j, w in enumerate(row) if w)
+            assert [net.weight(i, j) for j in range(net.n)] == row
+
+
 class TestFormats:
     def test_csv_roundtrip(self):
         net = fixtures.bridged_cliques(clique_size=3, cross="1/3")
@@ -116,6 +284,11 @@ class TestFormats:
     def test_json_ignores_unknown_keys(self):
         payload = {"n": 1, "edges": [[1, 1, "1"]], "roles": {"sink": 1}, "comment": "x"}
         assert network_from_json_dict(payload).n == 1
+
+    @pytest.mark.parametrize("edges", [5, None, "1,1,1", {"1": [1, 1]}])
+    def test_json_edges_must_be_a_list(self, edges):
+        with pytest.raises(NetworkFormatError, match="'edges' must be a list"):
+            network_from_json_dict({"n": 2, "edges": edges})
 
     def test_json_normalize_flag(self):
         payload = {"n": 1, "normalize": True, "edges": [[1, 1, "7"]]}
@@ -302,3 +475,23 @@ class TestGlobalReachability:
                             nxt.append(v)
                 frontier = nxt
             assert seen == set(range(net.n))
+
+    def test_witness_is_the_smallest_globally_reachable_node(self):
+        def reached_from(start, pairs):
+            seen, frontier = {start}, [start]
+            while frontier:
+                u = frontier.pop()
+                for i, j in pairs:
+                    if i == u and j not in seen:
+                        seen.add(j)
+                        frontier.append(j)
+            return seen
+
+        rnd = random.Random(0x51CC)
+        for _ in range(60):
+            net = random_network(rnd, rnd.randint(1, 7))
+            for graph in (net, decisive_subgraph(net)):
+                pairs = graph.edges if graph is not net else {(i, j) for i, j, _ in net.edges()}
+                common = set.intersection(*(reached_from(v, pairs) for v in range(net.n)))
+                expected = (True, min(common)) if common else (False, None)
+                assert has_globally_reachable_node(graph) == expected
