@@ -8,12 +8,15 @@ to search profiles with values in {-1, 0, 1} having exactly one zero entry
 (for consensus on a designated opinion) or rank permutations (for consensus
 on an arbitrary one).  Both searches here are exhaustive breadth-first
 explorations of the reachable state space and therefore exponential; they
-refuse inputs beyond an explicit node bound.
+refuse inputs beyond an explicit node bound.  The ternary search never
+builds a start state in which a cohesive pair agrees on a nonzero sign,
+since such a start provably cannot reach all-zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import _engine
@@ -364,11 +367,14 @@ def decide_consensus_reachable(
     """Can some ternary initial state with one zero entry reach all-zero?
 
     Exhaustive seeded search: for every choice of the zero node and signs of
-    the rest, breadth-first exploration of the reachable states.  States
-    proven unable to reach all-zero are cached across start states, and the
-    search exploits the sign-flip symmetry of the dynamics.  On success the
-    returned certificate (initial state + shortest update sequence for it)
-    is verified by replay before being returned.
+    the rest, breadth-first exploration of the reachable states.  A start
+    where both members of a cohesive pair hold the same sign can never
+    reach all-zero, since neither member ever moves, so such starts are
+    never generated.  States proven unable to reach all-zero are cached
+    across start states, and the search exploits the sign-flip symmetry of
+    the dynamics.  On success the returned certificate (initial state +
+    shortest update sequence for it) is verified by replay before being
+    returned.
     """
     n = net.n
     if n > bound:
@@ -391,29 +397,51 @@ def decide_consensus_reachable(
     dead: set = set()
 
     for z in zero_choices:
-        others = [i for i in range(n) if i != z]
-        # The dynamics commute with flipping every sign, so the first
-        # non-zero node can be pinned to -1.
-        for signs in itertools.product((-1, 1), repeat=len(others) - 1):
-            y0 = [0] * n
-            y0[others[0]] = -1
-            for node, s in zip(others[1:], signs):
-                y0[node] = s
-            y0 = tuple(y0)
-            cert = _search_to_zero(rows, n, y0, target, dead, partners)
+        for y0 in _pair_consistent_starts(n, z, partners):
+            cert = _search_to_zero(rows, y0, target, dead, partners)
             if cert is not None:
                 assert verify_certificate(net, cert)
                 return True, cert
     return False, None
 
 
-def _search_to_zero(rows, n, y0, target, dead, partners):
-    """BFS from y0 toward the all-zero state with cross-start memoization."""
-    neg0 = tuple(-v for v in y0)
-    if min(y0, neg0) in dead:
-        return None
-    if any(_pair_blocked(y0, i, partners) for i in range(n)):
-        dead.add(min(y0, neg0))
+def _pair_consistent_starts(n: int, z: int, partners: list[list[int]]):
+    """Start states with zero at ``z`` where no cohesive pair agrees.
+
+    The dynamics commute with flipping every sign, so the first non-zero
+    node is pinned to -1.  The rest take -1 before +1 in index order, and a
+    sign that an already assigned cohesive partner holds is skipped, so the
+    states come in the order of ``itertools.product`` over the signs,
+    without the blocked ones.  Cohesive pairs that form an odd cycle among
+    the non-zero nodes admit no start at all.
+    """
+    others = [i for i in range(n) if i != z]
+    state = [0] * n
+    state[others[0]] = -1
+
+    def assign(k):
+        if k == len(others):
+            yield tuple(state)
+            return
+        node = others[k]
+        for sign in (-1, 1):
+            if all(state[p] != sign for p in partners[node]):
+                state[node] = sign
+                yield from assign(k + 1)
+        state[node] = 0
+
+    return assign(1)
+
+
+def _search_to_zero(rows, y0, target, dead, partners):
+    """BFS from y0 toward the all-zero state with cross-start memoization.
+
+    ``y0`` has no agreeing cohesive pair, and neither has any state the
+    search keeps: a successor differs from its state only at the updated
+    node, so only that node's pairs need checking.
+    """
+    neg = operator.neg
+    if min(y0, tuple(map(neg, y0))) in dead:
         return None
     parents = {y0: None}
     frontier = [y0]
@@ -424,7 +452,7 @@ def _search_to_zero(rows, n, y0, target, dead, partners):
             for i, s2 in _engine.successors(rows, s):
                 if s2 in parents:
                     continue
-                canon = min(s2, tuple(-v for v in s2))
+                canon = min(s2, tuple(map(neg, s2)))
                 if canon in dead:
                     continue
                 parents[s2] = (s, i)
@@ -441,7 +469,7 @@ def _search_to_zero(rows, n, y0, target, dead, partners):
         frontier = nxt
     if found is None:
         for s in parents:
-            dead.add(min(s, tuple(-v for v in s)))
+            dead.add(min(s, tuple(map(neg, s))))
         return None
     sequence = []
     cur = found

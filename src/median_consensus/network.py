@@ -17,13 +17,16 @@ to exactly 1/2, indecisive links never influence i's update (half-ties widen
 median sets, and the tie-break can then track a formally indecisive
 neighbor; ``has_half_ties`` detects that regime).  The decisive links form a
 subgraph whose reachability structure separates networks that can reach
-consensus from those that cannot.
+consensus from those that cannot.  The subset sums are exact: a bitset of
+reachable sums for denominators up to 2^22, and meet-in-the-middle over the
+two halves of a row for larger ones, up to 40 weights.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -344,12 +347,27 @@ def network_to_dot(net: InfluenceNetwork, subgraph: "DecisiveSubgraph | None" = 
 
 # -- decisive links ---------------------------------------------------------
 
-_ENUM_DEGREE_LIMIT = 20
+_ENUM_DEGREE_LIMIT = 40
 _BITSET_DENOM_LIMIT = 1 << 22
 
 
+def _subset_sums(weights: Sequence[int]) -> set[int]:
+    """Every distinct sum of a subset of ``weights``, the empty one included."""
+    sums = {0}
+    for w in weights:
+        sums |= {s + w for s in sums}
+    return sums
+
+
 def _achievable_range_hit(weights: Sequence[int], denom: int, lo: int, hi: int) -> bool:
-    """Is some subset sum of ``weights`` inside the integer range [lo, hi]?"""
+    """Is some subset sum of ``weights`` inside the integer range [lo, hi]?
+
+    Denominators up to 2^22 use a bitset of every reachable sum.  Larger
+    ones meet in the middle: the subset sums of each half of the weights,
+    one half sorted, and for each sum ``a`` of the other half a bisection
+    for a partner in [lo - a, hi - a].  That needs at most 2^20 sums per
+    half, so rows with more than 40 weights are refused.
+    """
     if lo > hi:
         return False
     if denom <= _BITSET_DENOM_LIMIT:
@@ -360,13 +378,17 @@ def _achievable_range_hit(weights: Sequence[int], denom: int, lo: int, hi: int) 
         mask = (1 << (hi - lo + 1)) - 1
         return bool(span & mask)
     if len(weights) <= _ENUM_DEGREE_LIMIT:
-        sums = {0}
-        for w in weights:
-            sums |= {s + w for s in sums}
-        return any(lo <= s <= hi for s in sums)
+        half = len(weights) // 2
+        right = sorted(_subset_sums(weights[half:]))
+        for a in _subset_sums(weights[:half]):
+            k = bisect_left(right, lo - a)
+            if k < len(right) and right[k] <= hi - a:
+                return True
+        return False
     raise ValueError(
         "decisiveness check too large: row denominator exceeds the bitset limit "
-        f"and {len(weights)} co-neighbors exceed the enumeration limit {_ENUM_DEGREE_LIMIT}"
+        f"and {len(weights)} co-neighbors exceed the meet-in-the-middle limit "
+        f"{_ENUM_DEGREE_LIMIT}"
     )
 
 
@@ -375,7 +397,9 @@ def is_decisive(net: InfluenceNetwork, i: int, j: int) -> bool:
 
     Exact subset-sum reachability over the row's common denominator: the
     link is decisive iff the weights of i's other neighbors admit a subset
-    sum strictly between 1/2 - w_ij and 1/2.
+    sum strictly between 1/2 - w_ij and 1/2.  Rows over a denominator above
+    2^22 are searched meet-in-the-middle, which raises ``ValueError`` when i
+    has more than 40 other neighbors.
     """
     if not (0 <= i < net.n and 0 <= j < net.n):
         raise ValueError(f"nodes ({i}, {j}) out of range")
@@ -398,6 +422,7 @@ def has_half_ties(net: InfluenceNetwork) -> bool:
     At such ties the weighted median can be non-unique, the tie-break can
     adopt a formally indecisive neighbor's value, and reachability over the
     decisive subgraph alone no longer bounds where opinions can travel.
+    The subset sums take the paths of ``is_decisive``, with its limit.
     """
     for _nbrs, wints, denom in net.integer_rows:
         if denom % 2:

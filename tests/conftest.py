@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from median_consensus import InfluenceNetwork, fixtures
+from median_consensus import InfluenceNetwork, Nae3SatInstance, fixtures
 
 
 def random_row(rnd: random.Random, support_size: int, max_den: int = 24):
@@ -103,3 +103,35 @@ def network_corpus():
         fixtures.lattice(5, 5),
         fixtures.bridged_cliques(clique_size=4, cross="1/4"),
     ]
+
+
+def reduction_corpus():
+    """52 distinct monotone NAE3SAT instances: eight hand-built, sat and unsat,
+    then seeded random ones over 2-4 variables and 1-4 clauses."""
+    hand_built = [
+        Nae3SatInstance(2, ((1, 1, 2),)),                                   # sat
+        Nae3SatInstance(3, ((1, 2, 3),)),                                   # sat
+        Nae3SatInstance(3, ((1, 2, 3), (1, 1, 2))),                         # sat
+        Nae3SatInstance(3, ((1, 1, 2), (2, 2, 3), (1, 1, 3))),              # unsat triangle
+        Nae3SatInstance(4, ((1, 1, 2), (2, 2, 3), (1, 1, 3), (4, 4, 1))),   # unsat
+        Nae3SatInstance(3, ((1, 2, 3), (1, 1, 2), (2, 2, 3), (1, 1, 3))),   # unsat
+        Nae3SatInstance(4, ((1, 2, 3), (2, 3, 4), (1, 1, 4), (3, 3, 2))),   # sat
+        Nae3SatInstance(4, ((1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 1))),   # sat 4-cycle
+    ]
+    rnd = random.Random(0x10)
+    seen = {inst.clauses for inst in hand_built}
+    out = list(hand_built)
+    while len(out) < 52:
+        n = rnd.randint(2, 4)
+        m = rnd.randint(1, 4)
+        clauses = set()
+        while len(clauses) < m:
+            trio = tuple(rnd.randint(1, n) for _ in range(3))
+            if len(set(trio)) > 1:
+                clauses.add(trio)
+        clauses = tuple(sorted(clauses))
+        if {k for c in clauses for k in c} != set(range(1, n + 1)) or clauses in seen:
+            continue
+        seen.add(clauses)
+        out.append(Nae3SatInstance(n, clauses))
+    return out

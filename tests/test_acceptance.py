@@ -14,11 +14,10 @@ from itertools import product
 
 import numpy as np
 
-from conftest import network_corpus, random_network, random_weights
+from conftest import network_corpus, random_network, random_weights, reduction_corpus
 from median_consensus import (
     GridUniform,
     LabelUniform,
-    Nae3SatInstance,
     RandomSchedule,
     brute_force_nae3sat,
     build_svc_graph,
@@ -276,39 +275,9 @@ def test_09_reachability_searches_agree():
                     f"{agreements}/20 networks agree in {elapsed:.1f}s")
 
 
-def _reduction_corpus():
-    hand_built = [
-        Nae3SatInstance(2, ((1, 1, 2),)),                                   # sat
-        Nae3SatInstance(3, ((1, 2, 3),)),                                   # sat
-        Nae3SatInstance(3, ((1, 2, 3), (1, 1, 2))),                         # sat
-        Nae3SatInstance(3, ((1, 1, 2), (2, 2, 3), (1, 1, 3))),              # unsat triangle
-        Nae3SatInstance(4, ((1, 1, 2), (2, 2, 3), (1, 1, 3), (4, 4, 1))),   # unsat
-        Nae3SatInstance(3, ((1, 2, 3), (1, 1, 2), (2, 2, 3), (1, 1, 3))),   # unsat
-        Nae3SatInstance(4, ((1, 2, 3), (2, 3, 4), (1, 1, 4), (3, 3, 2))),   # sat
-        Nae3SatInstance(4, ((1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 1))),   # sat 4-cycle
-    ]
-    rnd = random.Random(0x10)
-    seen = {inst.clauses for inst in hand_built}
-    out = list(hand_built)
-    while len(out) < 52:
-        n = rnd.randint(2, 4)
-        m = rnd.randint(1, 4)
-        clauses = set()
-        while len(clauses) < m:
-            trio = tuple(rnd.randint(1, n) for _ in range(3))
-            if len(set(trio)) > 1:
-                clauses.add(trio)
-        clauses = tuple(sorted(clauses))
-        if {k for c in clauses for k in c} != set(range(1, n + 1)) or clauses in seen:
-            continue
-        seen.add(clauses)
-        out.append(Nae3SatInstance(n, clauses))
-    return out
-
-
 def test_10_reduction_roundtrip():
     started = time.perf_counter()
-    corpus = _reduction_corpus()
+    corpus = reduction_corpus()
     sat = unsat = roundtrips = certified = 0
     for inst in corpus:
         if reduction_roundtrip(inst):

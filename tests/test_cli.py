@@ -137,6 +137,21 @@ class TestAnalyze:
         assert rc == 0
         assert out.startswith("digraph") and "decisive=" in out
 
+    def test_large_prime_row_past_twenty_co_neighbors(self, tmp_path, capsys):
+        # 24 weights over a prime above 2^22: meet-in-the-middle, no refusal.
+        p = 8388617
+        n = 24
+        edges = [[1, j, f"1/{p}"] for j in range(1, n)] + [[1, n, f"{p - 23}/{p}"]]
+        edges += [[i, i, "1"] for i in range(2, n + 1)]
+        path = tmp_path / "prime.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        rc = cli.main(["analyze", "--network", str(path)])
+        result = _capture(capsys)["result"]
+        assert rc == 0
+        # Only the heavy link of row 1 tips it; every self-loop row is decisive.
+        assert result["decisive_edges"] == [[1, n]] + [[i, i] for i in range(2, n + 1)]
+        assert result["indecisive_edges"] == [[1, j] for j in range(1, n)]
+
     def test_bound_degrades_gracefully(self, cliques, capsys):
         rc = cli.main(["analyze", "--network", cliques, "--bound", "3"])
         payload = _capture(capsys)

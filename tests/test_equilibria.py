@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from conftest import random_coprime_network, random_network, random_profile
+from conftest import random_coprime_network, random_network, random_profile, reduction_corpus
 from median_consensus import (
     ConsensusCertificate,
     InfluenceNetwork,
     RandomSchedule,
     _engine,
+    build_svc_graph,
     build_update_sequence,
     classify,
     consensus_reachability_cross_check,
@@ -24,7 +26,13 @@ from median_consensus import (
     run,
     verify_certificate,
 )
-from median_consensus.equilibria import _cohesive_pairs, _frozen_nodes
+from median_consensus.equilibria import (
+    _cohesive_pairs,
+    _frozen_nodes,
+    _pair_blocked,
+    _pair_consistent_starts,
+    _search_to_zero,
+)
 from median_consensus.median import closest_weighted_median
 
 HALF = F(1, 2)
@@ -296,6 +304,95 @@ class TestDecideConsensusReachable:
 
                 state = list(step(net, state, node))
                 assert set(state) != {0}
+
+
+def product_sign_tuples(n, z):
+    """Every start with zero at ``z`` and the first non-zero node at -1, in
+    ``itertools.product`` order over the other signs."""
+    others = [i for i in range(n) if i != z]
+    for signs in product((-1, 1), repeat=len(others) - 1):
+        y0 = [0] * n
+        y0[others[0]] = -1
+        for node, s in zip(others[1:], signs):
+            y0[node] = s
+        yield tuple(y0)
+
+
+def product_starts(n, z, partners):
+    """``product_sign_tuples`` without the starts where a cohesive pair agrees."""
+    for y0 in product_sign_tuples(n, z):
+        if not any(_pair_blocked(y0, i, partners) for i in range(n)):
+            yield y0
+
+
+def product_decide(net):
+    """Consensus reachability that builds every sign tuple and caches each
+    blocked start as dead before searching."""
+    n = net.n
+    if n == 1:
+        return True, ConsensusCertificate(initial=(0,), sequence=(), target_time=0)
+    frozen = _frozen_nodes(net)
+    if len(frozen) >= 2:
+        return False, None
+    partners = _cohesive_pairs(net)
+    target = (0,) * n
+    dead = set()
+    for z in frozen or range(n):
+        for y0 in product_sign_tuples(n, z):
+            canon = min(y0, tuple(-v for v in y0))
+            if canon in dead:
+                continue
+            if any(_pair_blocked(y0, i, partners) for i in range(n)):
+                dead.add(canon)
+                continue
+            cert = _search_to_zero(net.integer_rows, y0, target, dead, partners)
+            if cert is not None:
+                return True, cert
+    return False, None
+
+
+def gadget_networks():
+    return [build_svc_graph(inst).network for inst in reduction_corpus()]
+
+
+class TestPairConsistentStarts:
+    def test_same_starts_in_the_same_order_as_product(self):
+        rnd = random.Random(0x57A7)
+        nets = []
+        while len(nets) < 60:
+            net = random_network(rnd, rnd.randint(2, 9))
+            if any(_cohesive_pairs(net)):
+                nets.append(net)
+        nets += gadget_networks()
+        for net in nets:
+            partners = _cohesive_pairs(net)
+            for z in range(net.n):
+                expected = list(product_starts(net.n, z, partners))
+                assert list(_pair_consistent_starts(net.n, z, partners)) == expected
+
+    def test_decide_matches_product_search(self):
+        rnd = random.Random(0xDEC1DE)
+        nets = [random_network(rnd, rnd.randint(1, 7)) for _ in range(300)]
+        nets += gadget_networks()
+        reachable = 0
+        for net in nets:
+            verdict = decide_consensus_reachable(net, bound=net.n)
+            assert verdict == product_decide(net)
+            reachable += verdict[0]
+        assert 0 < reachable < len(nets)
+
+    def test_odd_cycle_of_pairs_admits_no_start(self):
+        # Nodes 0-2 split their weight evenly, so every two of them form a
+        # cohesive pair; node 3 listens only to itself and must be the zero.
+        t = F(1, 3)
+        net = InfluenceNetwork.from_rows(
+            [[t, t, t, 0], [t, t, t, 0], [t, t, t, 0], [0, 0, 0, 1]]
+        )
+        partners = _cohesive_pairs(net)
+        assert partners[:3] == [[1, 2], [0, 2], [0, 1]]
+        assert list(_pair_consistent_starts(4, 3, partners)) == []
+        assert len(list(_pair_consistent_starts(4, 0, partners))) == 2
+        assert decide_consensus_reachable(net) == (False, None)
 
 
 class TestCertificates:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coprime_rows, random_network
-from median_consensus import InfluenceNetwork, fixtures
+from median_consensus import InfluenceNetwork, fixtures, network
 from median_consensus.dynamics import RandomSchedule, run
 from median_consensus.network import (
     NetworkFormatError,
@@ -326,6 +326,28 @@ def oracle_decisive(net, i, j):
     return False
 
 
+def oracle_half_ties(net):
+    """Whether some subset of some row sums to exactly 1/2, by enumeration."""
+    for row in net.rows:
+        weights = [w for _t, w in row]
+        subsets = chain.from_iterable(combinations(weights, k) for k in range(len(weights) + 1))
+        if any(sum(c, F(0)) == F(1, 2) for c in subsets):
+            return True
+    return False
+
+
+def _spread_row_network(d, units):
+    """Node 0 puts 1/d on nodes 0..units-1 and the rest on node ``units``;
+    every other node listens only to itself."""
+    size = units + 1
+    rows = [[F(1, d)] * units + [F(d - units, d)]]
+    for i in range(1, size):
+        r = [F(0)] * size
+        r[i] = F(1)
+        rows.append(r)
+    return InfluenceNetwork.from_rows(rows)
+
+
 class TestDecisiveLinks:
     def test_three_fifths_is_decisive(self):
         net = InfluenceNetwork.from_rows([[F(3, 5), F(2, 5)], [F(0), F(1)]])
@@ -362,19 +384,35 @@ class TestDecisiveLinks:
         assert is_decisive(net, 0, 1) is True
         assert is_decisive(net, 0, 0) is False
 
-    def test_refuses_when_both_paths_blocked(self):
+    def test_twenty_one_co_neighbors_get_an_exact_answer(self):
+        # Past the bitset limit with 21 co-neighbors: meet-in-the-middle.
         d = (1 << 22) + 25
-        parts = [1] * 21 + [d - 21]
-        row = [F(p, d) for p in parts]
-        # 22 nodes: row 0 spreads over everyone, the rest are self-loops
-        rows = [row]
-        for i in range(1, 22):
-            r = [F(0)] * 22
-            r[i] = F(1)
-            rows.append(r)
-        net = InfluenceNetwork.from_rows(rows)
-        with pytest.raises(ValueError, match="denominator"):
-            is_decisive(net, 0, 21)
+        net = _spread_row_network(d, 21)
+        # The heavy link tips row 0 with any unit subset; a unit link would
+        # need other weights summing to exactly (d - 1)/2, which none do.
+        assert is_decisive(net, 0, 21) is True
+        assert not any(is_decisive(net, 0, j) for j in range(21))
+        assert decisive_subgraph(net).edges == {(0, 21)} | {(i, i) for i in range(1, 22)}
+
+    def test_refuses_beyond_forty_co_neighbors(self):
+        d = (1 << 22) + 25
+        net = _spread_row_network(d, 41)
+        with pytest.raises(ValueError, match="41 co-neighbors exceed the meet-in-the-middle limit 40"):
+            is_decisive(net, 0, 41)
+
+    def test_meet_in_the_middle_matches_bitset_and_oracle(self, monkeypatch):
+        rnd = random.Random(0x3177)
+        nets = [random_network(rnd, rnd.randint(1, 8), max_den=rnd.choice((8, 20, 40)))
+                for _ in range(80)]
+        expected = [
+            ({(i, j): is_decisive(net, i, j) for i, j, _w in net.edges()}, has_half_ties(net))
+            for net in nets
+        ]
+        monkeypatch.setattr(network, "_BITSET_DENOM_LIMIT", 0)
+        for net, (decisive, ties) in zip(nets, expected):
+            for (i, j), flag in decisive.items():
+                assert is_decisive(net, i, j) == flag == oracle_decisive(net, i, j)
+            assert has_half_ties(net) == ties == oracle_half_ties(net)
 
     def test_subgraph_partition(self):
         rnd = random.Random(12)
@@ -402,20 +440,10 @@ class TestHalfTies:
         assert has_half_ties(fixtures.disjoint_cliques(clique_size=3, blocks=2)) is True
 
     def test_matches_subset_oracle(self):
-        half = F(1, 2)
         rnd = random.Random(0x7E5)
         for _ in range(60):
             net = random_network(rnd, rnd.randint(1, 6), max_den=16)
-            expect = False
-            for row in net.rows:
-                weights = [w for _t, w in row]
-                subsets = chain.from_iterable(
-                    combinations(weights, k) for k in range(len(weights) + 1)
-                )
-                if any(sum(c, F(0)) == half for c in subsets):
-                    expect = True
-                    break
-            assert has_half_ties(net) == expect
+            assert has_half_ties(net) == oracle_half_ties(net)
 
 
 class TestGlobalReachability:
