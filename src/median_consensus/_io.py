@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import tempfile
@@ -43,6 +44,19 @@ def opinion_from_json(raw):
             return Fraction(token)
         return raw
     raise ValueError(f"cannot decode opinion {raw!r}")
+
+
+def read_json(path, error=ValueError):
+    """Parse a JSON file.  Malformed JSON, and JSON nested too deeply to
+    parse, raise ``error`` naming the file."""
+    path = Path(path)
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON in {path.name}: {exc}") from exc
+    except RecursionError:
+        raise error(f"invalid JSON in {path.name}: nested too deeply") from None
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import atomic_write_text, is_json_int, opinion_from_json, opinion_to_json
+from ._io import atomic_write_text, is_json_int, opinion_from_json, opinion_to_json, read_json
 from .cohesion import DEFAULT_ENUMERATION_BOUND, enumerate_maximal_cohesive_sets
 from .dynamics import (
     GridUniform,
@@ -47,7 +47,6 @@ from .hardness import (
     svc_to_json_dict,
 )
 from .network import (
-    NetworkFormatError,
     decisive_subgraph,
     has_globally_reachable_node,
     has_half_ties,
@@ -129,7 +128,7 @@ def parse_initial_spec(spec: str):
     if spec.startswith("grid:"):
         return GridUniform(points=int(spec.split(":", 1)[1]))
     if spec.startswith("file:"):
-        payload = json.loads(Path(spec.split(":", 1)[1]).read_text())
+        payload = read_json(spec.split(":", 1)[1])
         if not isinstance(payload, list):
             raise ValueError("initial-state file must hold a JSON list of opinions")
         return tuple(opinion_from_json(v) for v in payload)
@@ -153,7 +152,7 @@ def _resolve_initial(source, n: int, seed):
 
 
 def _read_schedule(path) -> tuple[int, ...]:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if isinstance(payload, dict):
         payload = payload.get("sequence")
     if not isinstance(payload, list):
@@ -324,7 +323,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify_cert(args) -> int:
     net = _load_net(args)
-    payload = json.loads(Path(args.cert).read_text())
+    payload = read_json(args.cert)
     try:
         cert = ConsensusCertificate.from_json_dict(payload)
     except ValueError as exc:
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NetworkFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -5,12 +5,12 @@ threshold cut through its values splits the nodes into two maximal cohesive
 sets.  Whether a network can reach consensus at all reduces to a finite
 search: only the ordering of the initial opinions matters, so it is enough
 to search profiles with values in {-1, 0, 1} having exactly one zero entry
-(for consensus on a designated opinion) or rank permutations (for consensus
-on an arbitrary one).  Both searches here are exhaustive breadth-first
-explorations of the reachable state space and therefore exponential; they
-refuse inputs beyond an explicit node bound.  The ternary search never
-builds a start state in which a cohesive pair agrees on a nonzero sign,
-since such a start provably cannot reach all-zero.
+(for consensus on a designated opinion) or permutations of the centred ranks
+1 - n, 3 - n, ..., n - 1 (for consensus on an arbitrary one).  Both share one
+exhaustive, hence exponential, breadth-first search that caches dead states
+up to negation; they refuse inputs beyond an explicit node bound.  The
+ternary search never builds a start state in which a cohesive pair agrees on
+a nonzero sign, since such a start provably cannot reach all-zero.
 """
 
 from __future__ import annotations
@@ -351,16 +351,6 @@ def _cohesive_pairs(net: InfluenceNetwork) -> list[list[int]]:
     return partners
 
 
-def _pair_blocked(state, node: int, partners: list[list[int]]) -> bool:
-    v = state[node]
-    if v == 0:
-        return False
-    for p in partners[node]:
-        if state[p] == v:
-            return True
-    return False
-
-
 def decide_consensus_reachable(
     net: InfluenceNetwork, *, bound: int = DEFAULT_DECISION_BOUND
 ) -> tuple[bool, ConsensusCertificate | None]:
@@ -370,11 +360,11 @@ def decide_consensus_reachable(
     the rest, breadth-first exploration of the reachable states.  A start
     where both members of a cohesive pair hold the same sign can never
     reach all-zero, since neither member ever moves, so such starts are
-    never generated.  States proven unable to reach all-zero are cached
-    across start states, and the search exploits the sign-flip symmetry of
-    the dynamics.  On success the returned certificate (initial state +
-    shortest update sequence for it) is verified by replay before being
-    returned.
+    never generated, and the search prunes states that reach such a pair.
+    Every start goes through ``_shortest_path``, which caches states proven
+    unable to reach all-zero across starts, up to flipping every sign.  On
+    success the returned certificate (initial state + shortest update
+    sequence for it) is verified by replay before being returned.
     """
     n = net.n
     if n > bound:
@@ -398,8 +388,9 @@ def decide_consensus_reachable(
 
     for z in zero_choices:
         for y0 in _pair_consistent_starts(n, z, partners):
-            cert = _search_to_zero(rows, y0, target, dead, partners)
-            if cert is not None:
+            path = _shortest_path(rows, y0, target.__eq__, dead, partners)
+            if path is not None:
+                cert = ConsensusCertificate(initial=y0, sequence=path, target_time=len(path))
                 assert verify_certificate(net, cert)
                 return True, cert
     return False, None
@@ -433,20 +424,23 @@ def _pair_consistent_starts(n: int, z: int, partners: list[list[int]]):
     return assign(1)
 
 
-def _search_to_zero(rows, y0, target, dead, partners):
-    """BFS from y0 toward the all-zero state with cross-start memoization.
+def _shortest_path(rows, start, is_goal, dead, partners=None):
+    """Shortest update sequence from ``start`` to a state ``is_goal`` accepts.
 
-    ``y0`` has no agreeing cohesive pair, and neither has any state the
-    search keeps: a successor differs from its state only at the updated
-    node, so only that node's pairs need checking.
+    Breadth-first over ``_engine.successors``; ``start`` is not a goal.
+    ``dead`` holds states that cannot reach a goal, each under the smaller of
+    it and its negation (the dynamics and ``is_goal`` commute with negation);
+    a failed search adds every state it saw.  With ``partners``, a successor
+    whose updated node now agrees on a nonzero value with a cohesive partner
+    is dead too, since neither ever moves again.  Returns the node tuple or
+    None.
     """
     neg = operator.neg
-    if min(y0, tuple(map(neg, y0))) in dead:
+    if min(start, tuple(map(neg, start))) in dead:
         return None
-    parents = {y0: None}
-    frontier = [y0]
-    found = None
-    while frontier and found is None:
+    parents = {start: None}
+    frontier = [start]
+    while frontier:
         nxt = []
         for s in frontier:
             for i, s2 in _engine.successors(rows, s):
@@ -455,32 +449,21 @@ def _search_to_zero(rows, y0, target, dead, partners):
                 canon = min(s2, tuple(map(neg, s2)))
                 if canon in dead:
                     continue
-                parents[s2] = (s, i)
-                if s2 == target:
-                    found = s2
-                    break
-                if _pair_blocked(s2, i, partners):
+                v = s2[i]
+                if partners is not None and v and v in [s2[p] for p in partners[i]]:
                     dead.add(canon)
-                    del parents[s2]
                     continue
+                parents[s2] = (s, i)
+                if is_goal(s2):
+                    path = []
+                    while parents[s2] is not None:
+                        s2, i = parents[s2]
+                        path.append(i)
+                    return tuple(reversed(path))
                 nxt.append(s2)
-            if found is not None:
-                break
         frontier = nxt
-    if found is None:
-        for s in parents:
-            dead.add(min(s, tuple(map(neg, s))))
-        return None
-    sequence = []
-    cur = found
-    while parents[cur] is not None:
-        prev, agent = parents[cur]
-        sequence.append(agent)
-        cur = prev
-    sequence.reverse()
-    return ConsensusCertificate(
-        initial=y0, sequence=tuple(sequence), target_time=len(sequence)
-    )
+    dead.update(min(s, tuple(map(neg, s))) for s in parents)
+    return None
 
 
 # -- cross-check of the two reachability formulations -----------------------------
@@ -490,48 +473,27 @@ def _distinct_profile_consensus_search(net: InfluenceNetwork) -> bool:
     """Can some all-distinct initial profile reach consensus on any value?
 
     Only the opinion ordering matters, so initial profiles are searched as
-    rank permutations; BFS explores reachable rank states, memoizing states
-    whose closure contains no consensus.  The order-reversal symmetry of the
-    dynamics halves the work.
+    permutations of the centred ranks ``1 - n, 3 - n, ..., n - 1``, on which
+    reversing the order is the negation ``_shortest_path`` caches under.
     """
     n = net.n
     if n == 1:
         return True
     rows = net.integer_rows
     dead: set = set()
-    top = n - 1
-
-    def mirror(s):
-        return tuple(top - v for v in s)
-
-    for perm in itertools.permutations(range(n)):
-        y0 = tuple(perm)
-        if min(y0, mirror(y0)) in dead:
-            continue
-        seen = {y0}
-        frontier = [y0]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for _, s2 in _engine.successors(rows, s):
-                    if s2 in seen or min(s2, mirror(s2)) in dead:
-                        continue
-                    if len(set(s2)) == 1:
-                        return True
-                    seen.add(s2)
-                    nxt.append(s2)
-            frontier = nxt
-        for s in seen:
-            dead.add(min(s, mirror(s)))
-    return False
+    return any(
+        _shortest_path(rows, y0, lambda s: len(set(s)) == 1, dead) is not None
+        for y0 in itertools.permutations(range(1 - n, n, 2))
+    )
 
 
 def consensus_reachability_cross_check(net: InfluenceNetwork, *, bound: int = 6) -> bool:
-    """Run the two independent consensus-reachability searches; do they agree?
+    """Run the two consensus-reachability formulations; do they agree?
 
-    One search works over all-distinct rank profiles and accepts consensus
-    on any value; the other works over one-zero ternary profiles and accepts
-    only the all-zero state.  The two must always return the same verdict.
+    One searches all-distinct centred-rank profiles and accepts consensus on
+    any value; the other searches one-zero ternary profiles and accepts only
+    the all-zero state.  They share the breadth-first search but not their
+    starts or goals, and must always return the same verdict.
     """
     if net.n > bound:
         raise ValueError(f"n={net.n} exceeds the cross-check bound {bound}")

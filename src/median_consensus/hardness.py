@@ -65,9 +65,13 @@ class Nae3SatInstance:
                 if not isinstance(k, int) or not 1 <= k <= self.num_vars:
                     raise ValueError(f"variable index {k!r} out of range 1..{self.num_vars}")
                 used.add(k)
-        missing = set(range(1, self.num_vars + 1)) - used
-        if missing:
-            raise ValueError(f"variables {sorted(missing)} appear in no clause")
+        if len(used) < self.num_vars:
+            # The first gap is at most len(used) + 1, so num_vars is never ranged over.
+            first = next(k for k in itertools.count(1) if k not in used)
+            raise ValueError(
+                f"variable {first} appears in no clause "
+                f"({self.num_vars - len(used)} of {self.num_vars} unused)"
+            )
 
     def triple_repeated_clauses(self) -> list[tuple[int, int, int]]:
         return [c for c in self.clauses if c[0] == c[1] == c[2]]

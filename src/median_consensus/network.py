@@ -33,7 +33,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._io import is_json_int
+from ._io import is_json_int, read_json
 from .median import to_fraction
 
 __all__ = [
@@ -102,7 +102,7 @@ class InfluenceNetwork:
         With ``normalize`` each row is divided by its sum; otherwise rows
         must already sum to exactly 1.
         """
-        return _edge_network(n, edges, normalize, base=0)
+        return _edge_network(n, list(edges), normalize, base=0)
 
     # -- Fraction views -----------------------------------------------------
 
@@ -204,8 +204,14 @@ def _dense_network(n: int, rows: Sequence[Sequence]) -> InfluenceNetwork:
     return InfluenceNetwork(n, tuple(cleared))
 
 
-def _edge_network(n: int, edges: Iterable, normalize: bool, base: int) -> InfluenceNetwork:
+def _edge_network(n: int, edges: Sequence, normalize: bool, base: int) -> InfluenceNetwork:
     """Network from ``(i, j, weight)`` triples whose nodes count from ``base``."""
+    if is_json_int(n) and n > len(edges):
+        # Checked before the buckets exist, so a huge n costs nothing.
+        raise NetworkFormatError(
+            f"n={n} but the edge list has {len(edges)} entries: every node needs a "
+            "row of positive weights summing to 1"
+        )
     buckets: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for entry in edges:
         try:
@@ -303,15 +309,10 @@ def load_network(path, fmt: str | None = None) -> InfluenceNetwork:
             raise NetworkFormatError(
                 f"cannot infer format from {path.name!r}; pass fmt='csv' or 'json'"
             )
-    text = path.read_text()
     if fmt == "csv":
-        return network_from_csv_text(text)
+        return network_from_csv_text(path.read_text())
     if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(f"invalid JSON in {path.name}: {exc}") from exc
-        return network_from_json_dict(payload)
+        return network_from_json_dict(read_json(path, NetworkFormatError))
     raise NetworkFormatError(f"unknown network format {fmt!r}")
 
 

@@ -7,9 +7,25 @@ test pins its own seed and failures replay exactly.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 from median_consensus import InfluenceNetwork, Nae3SatInstance, fixtures
+
+
+# A header that declares 10**6 nodes or variables costs tens of MB when
+# something is allocated per declared item, and a few kB when it is not.
+HUGE_COUNT = 10**6
+
+
+def peak_allocation(fn):
+    """Run ``fn()`` and return the peak bytes Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_row(rnd: random.Random, support_size: int, max_den: int = 24):

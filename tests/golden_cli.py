@@ -17,7 +17,8 @@ Usage, from the repository root::
     PYTHONPATH=src python tests/golden_cli.py --save DIR   # also keep stdouts
 
 Run it once per source tree (``PYTHONPATH`` pointing at that tree's
-``src``) and compare the output.  pytest does not collect this file.
+``src``) and compare the output.  pytest does not collect this file;
+``test_golden_cli.py`` asserts the total digest through ``digests()``.
 """
 
 from __future__ import annotations
@@ -128,22 +129,18 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--keys", action="store_true", help="print the capture keys and exit")
-    parser.add_argument("--save", default=None, help="directory for every capture's stdout")
-    args = parser.parse_args(argv)
+def plan(nets: dict) -> list[tuple[str, str, list[str] | None]]:
+    """Every capture in run order: the exports, then the CLI invocations."""
+    return [(f"save {name}", "export", None) for name in nets] + captures(nets)
 
+
+def digests(save: Path | None = None) -> dict[str, tuple[int, str]]:
+    """Run every capture; ``{group: (count, digest)}`` plus a ``total`` entry.
+
+    With ``save``, each capture's exit code and stdout also go to a file
+    there.
+    """
     nets = networks()
-    plan = [(f"save {name}", "export", None) for name in nets] + captures(nets)
-    if args.keys:
-        for key, group, _ in plan:
-            print(f"{group}\t{key}")
-        return 0
-    save = Path(args.save).resolve() if args.save else None
-    if save:
-        save.mkdir(parents=True, exist_ok=True)
-
     lines = defaultdict(list)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
         try:
             for name, text in INSTANCES.items():
                 Path(f"{name}.nae").write_text(text)
-            for key, group, cmd in plan:
+            for key, group, cmd in plan(nets):
                 if cmd is None:
                     name = key.split(" ", 1)[1]
                     save_network(nets[name], name)
@@ -164,10 +161,27 @@ def main(argv=None) -> int:
         finally:
             os.chdir(home)
 
+    out = {group: (len(lines[group]), _digest(lines[group])) for group in sorted(lines)}
     everything = [line for group in lines.values() for line in group]
-    for group in sorted(lines):
-        print(f"{group}\t{len(lines[group])}\t{_digest(lines[group])}")
-    print(f"total\t{len(everything)}\t{_digest(everything)}")
+    out["total"] = (len(everything), _digest(everything))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keys", action="store_true", help="print the capture keys and exit")
+    parser.add_argument("--save", default=None, help="directory for every capture's stdout")
+    args = parser.parse_args(argv)
+
+    if args.keys:
+        for key, group, _ in plan(networks()):
+            print(f"{group}\t{key}")
+        return 0
+    save = Path(args.save).resolve() if args.save else None
+    if save:
+        save.mkdir(parents=True, exist_ok=True)
+    for group, (count, digest) in digests(save).items():
+        print(f"{group}\t{count}\t{digest}")
     return 0
 
 

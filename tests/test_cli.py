@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import HUGE_COUNT, peak_allocation
 from median_consensus import cli, fixtures
 from median_consensus.network import save_network
 
@@ -360,6 +361,42 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert "error:" in captured.err and "'edges' must be a list" in captured.err
+
+    def test_huge_node_count_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"n": HUGE_COUNT, "edges": [[1, 1, "1"]]}))
+        rc = []
+        peak = peak_allocation(lambda: rc.append(cli.main(["analyze", "--network", str(bad)])))
+        captured = capsys.readouterr()
+        assert rc == [1] and captured.out == "" and "error:" in captured.err
+        assert peak < 1_000_000
+
+    def test_huge_variable_count_is_input_error(self, tmp_path, capsys):
+        inst = tmp_path / "huge.nae"
+        inst.write_text(f"p nae3sat {HUGE_COUNT} 1\n1 2 3\n")
+        rc = []
+        peak = peak_allocation(lambda: rc.append(cli.main(["reduce", "--instance", str(inst)])))
+        captured = capsys.readouterr()
+        assert rc == [1] and captured.out == ""
+        assert "error:" in captured.err and "appears in no clause" in captured.err
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--network", "deep.json"],
+         ["verify-cert", "--network", "k4.csv", "--cert", "deep.json"],
+         ["simulate", "--network", "k4.csv", "--initial", "3,1,2,0", "--schedule", "deep.json"],
+         ["simulate", "--network", "k4.csv", "--initial", "file:deep.json"]],
+        ids=["network", "cert", "schedule", "initial"],
+    )
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        save_network(fixtures.complete_uniform(4), tmp_path / "k4.csv")
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: invalid JSON in deep.json: nested too deeply\n"
 
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -28,10 +29,9 @@ from median_consensus import (
 )
 from median_consensus.equilibria import (
     _cohesive_pairs,
+    _distinct_profile_consensus_search,
     _frozen_nodes,
-    _pair_blocked,
     _pair_consistent_starts,
-    _search_to_zero,
 )
 from median_consensus.median import closest_weighted_median
 
@@ -306,6 +306,97 @@ class TestDecideConsensusReachable:
                 assert set(state) != {0}
 
 
+# -- oracles: frozen copies of the two searches that ``_shortest_path`` replaced --
+
+
+def _pair_blocked(state, node, partners):
+    v = state[node]
+    if v == 0:
+        return False
+    for p in partners[node]:
+        if state[p] == v:
+            return True
+    return False
+
+
+def _search_to_zero(rows, y0, target, dead, partners):
+    """BFS from y0 toward the all-zero state with cross-start memoization."""
+    neg = operator.neg
+    if min(y0, tuple(map(neg, y0))) in dead:
+        return None
+    parents = {y0: None}
+    frontier = [y0]
+    found = None
+    while frontier and found is None:
+        nxt = []
+        for s in frontier:
+            for i, s2 in _engine.successors(rows, s):
+                if s2 in parents:
+                    continue
+                canon = min(s2, tuple(map(neg, s2)))
+                if canon in dead:
+                    continue
+                parents[s2] = (s, i)
+                if s2 == target:
+                    found = s2
+                    break
+                if _pair_blocked(s2, i, partners):
+                    dead.add(canon)
+                    del parents[s2]
+                    continue
+                nxt.append(s2)
+            if found is not None:
+                break
+        frontier = nxt
+    if found is None:
+        for s in parents:
+            dead.add(min(s, tuple(map(neg, s))))
+        return None
+    sequence = []
+    cur = found
+    while parents[cur] is not None:
+        prev, agent = parents[cur]
+        sequence.append(agent)
+        cur = prev
+    sequence.reverse()
+    return ConsensusCertificate(initial=y0, sequence=tuple(sequence), target_time=len(sequence))
+
+
+def distinct_profile_search(net):
+    """Rank-permutation consensus search over ``range(n)``, with its own BFS
+    and the order-reversal symmetry ``v -> n - 1 - v``."""
+    n = net.n
+    if n == 1:
+        return True
+    rows = net.integer_rows
+    dead = set()
+    top = n - 1
+
+    def mirror(s):
+        return tuple(top - v for v in s)
+
+    for perm in permutations(range(n)):
+        y0 = tuple(perm)
+        if min(y0, mirror(y0)) in dead:
+            continue
+        seen = {y0}
+        frontier = [y0]
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for _, s2 in _engine.successors(rows, s):
+                    if s2 in seen or min(s2, mirror(s2)) in dead:
+                        continue
+                    if len(set(s2)) == 1:
+                        return True
+                    seen.add(s2)
+                    nxt.append(s2)
+            frontier = nxt
+        for s in seen:
+            dead.add(min(s, mirror(s)))
+    return False
+
+
 def product_sign_tuples(n, z):
     """Every start with zero at ``z`` and the first non-zero node at -1, in
     ``itertools.product`` order over the other signs."""
@@ -373,6 +464,7 @@ class TestPairConsistentStarts:
     def test_decide_matches_product_search(self):
         rnd = random.Random(0xDEC1DE)
         nets = [random_network(rnd, rnd.randint(1, 7)) for _ in range(300)]
+        nets += [random_coprime_network(rnd, rnd.randint(2, 6)) for _ in range(40)]
         nets += gadget_networks()
         reachable = 0
         for net in nets:
@@ -440,6 +532,15 @@ class TestCrossCheck:
         for _ in range(12):
             net = random_network(rnd, rnd.randint(2, 5))
             assert consensus_reachability_cross_check(net)
+
+    def test_distinct_search_matches_rank_search(self):
+        rnd = random.Random(0xD15C)
+        nets = [random_network(rnd, rnd.randint(1, 6)) for _ in range(200)]
+        nets += [random_coprime_network(rnd, rnd.randint(2, 5)) for _ in range(20)]
+        nets += [fixtures.disjoint_cliques(clique_size=3, blocks=2), fixtures.directed_ring(5)]
+        verdicts = [_distinct_profile_consensus_search(net) for net in nets]
+        assert verdicts == [distinct_profile_search(net) for net in nets]
+        assert 0 < sum(verdicts) < len(nets)
 
 
 class TestOrderNeighborhood:

@@ -22,6 +22,7 @@ from median_consensus import (
     svc_to_json_dict,
     verify_certificate,
 )
+from conftest import HUGE_COUNT, peak_allocation
 from median_consensus.network import network_from_json_dict
 
 TRIANGLE = Nae3SatInstance(num_vars=3, clauses=((1, 1, 2), (2, 2, 3), (1, 1, 3)))
@@ -44,6 +45,13 @@ class TestInstances:
     def test_unused_variable_rejected(self):
         with pytest.raises(ValueError, match="variable"):
             parse_instance_text("p nae3sat 3 1\n1 1 2\n")
+
+    def test_unused_variables_named_without_ranging_over_them(self):
+        def refused():
+            with pytest.raises(ValueError, match=f"variable 4 appears in no clause \\({HUGE_COUNT - 3} "):
+                Nae3SatInstance(num_vars=HUGE_COUNT, clauses=((1, 2, 3),))
+
+        assert peak_allocation(refused) < 1_000_000
 
     def test_clause_count_mismatch(self):
         with pytest.raises(ValueError):

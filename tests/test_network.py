@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coprime_rows, random_network
+from conftest import HUGE_COUNT, peak_allocation, random_coprime_rows, random_network
 from median_consensus import InfluenceNetwork, fixtures, network
 from median_consensus.dynamics import RandomSchedule, run
 from median_consensus.network import (
@@ -71,6 +71,19 @@ class TestConstruction:
                 assert sum(wints) == denom
                 for j, wi in zip(nbrs, wints):
                     assert F(wi, denom) == net.weight(i, j)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: InfluenceNetwork.from_edges(HUGE_COUNT, iter([(0, 0, 1)])),
+         lambda: network_from_json_dict({"n": HUGE_COUNT, "edges": [[1, 1, "1"]]})],
+        ids=["from_edges", "json"],
+    )
+    def test_node_count_beyond_edge_entries_refused_before_allocating(self, build):
+        def refused():
+            with pytest.raises(NetworkFormatError, match="edge list has 1 entries"):
+                build()
+
+        assert peak_allocation(refused) < 1_000_000
 
     @pytest.mark.parametrize("edge", [(True, 0, 1), (0, False, 1)])
     def test_from_edges_rejects_bool_endpoints(self, edge):
