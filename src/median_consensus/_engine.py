@@ -3,10 +3,10 @@
 Opinion order is all that matters to the update rule, so states are encoded
 as small ints (ranks) and each row's weights are pre-cleared to integers
 over a common denominator.  This module owns all half-threshold arithmetic:
-the median update, the majority margin of a row on a node set, and the
-successors of a state all compare integer masses against the denominator.
-Dynamics, cohesion and equilibria call these functions instead of computing
-with Fractions; ``median.py`` is the readable reference.
+the median update and the majority margin of a row on a node set both
+compare integer masses against the denominator.  Dynamics, cohesion and
+equilibria call these functions instead of computing with Fractions;
+``median.py`` is the readable reference.
 
 A median is read off a mass table ``{rank: integer mass}`` by
 ``median_of``.  ``update_value`` builds that table from a whole row; runs
@@ -14,9 +14,16 @@ keep one table per node instead and, on each opinion change, move the
 changed node's weight from its old rank to its new one in every listener's
 table, so a change costs one entry per listener rather than every
 listener's whole row.
+
+The exhaustive searches visit many states that differ in a few nodes, so
+they use ``LocalRule``: a state packed into one int, and per node a memo
+from the node's own and its row's fields to its new rank.  Every memo entry
+is filled by ``update_value``, so the searches still follow the one rule.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def encode_profile(values):
@@ -87,13 +94,41 @@ def update_value(int_rows, state, i):
     return median_of(row_masses(row, state), row[2], state[i])
 
 
-def successors(int_rows, state: tuple):
-    """Yield ``(i, next_state)`` for every node whose update moves it.
+class LocalRule:
+    """Packed states over ``levels`` ranks, with a memoised update per node.
 
-    Nodes come in index order.  A state is an equilibrium exactly when it
-    has no successor.
+    A state is one int: node i's rank sits in ``width`` bits from bit
+    ``width * i``.  Node i's update reads only the fields of ``{i, *row}``,
+    the bits of its mask, so node i's memo maps ``s & mask`` to its new rank
+    and is filled on first use by ``update_value`` on the unpacked state.  A
+    node whose row covers every node gets no memo (None): its key is the
+    whole state, which a search never meets twice.  Reversing the rank
+    order maps ``s`` to ``full - s``.
+
+    ``nodes`` holds ``(i, shift, mask, memo)`` per node in index order.
     """
-    for i in range(len(state)):
-        new = update_value(int_rows, state, i)
-        if new != state[i]:
-            yield i, state[:i] + (new,) + state[i + 1 :]
+
+    __slots__ = ("rows", "field", "shifts", "full", "nodes")
+
+    def __init__(self, int_rows, levels: int):
+        n = len(int_rows)
+        width = (levels - 1).bit_length()
+        self.rows = int_rows
+        self.field = field = (1 << width) - 1
+        self.shifts = shifts = [width * i for i in range(n)]
+        self.full = sum((levels - 1) << sh for sh in shifts)
+        whole = (1 << width * n) - 1
+        # A set, so that a self-loop does not count node i's field twice.
+        masks = [
+            sum(field << shifts[j] for j in {i, *row[0]}) for i, row in enumerate(int_rows)
+        ]
+        self.nodes = tuple(
+            (i, shifts[i], m, None if m == whole else {}) for i, m in enumerate(masks)
+        )
+
+    def pack(self, ranks) -> int:
+        return sum(map(operator.lshift, ranks, self.shifts))
+
+    def unpack(self, s: int) -> tuple:
+        field = self.field
+        return tuple([s >> sh & field for sh in self.shifts])

@@ -131,7 +131,8 @@ def is_equilibrium(net: InfluenceNetwork, x: Sequence) -> bool:
     """Is every node already at its own closest weighted median?"""
     vals = _validate_state(net, x)
     state, _ = _engine.encode_profile(vals)
-    return next(_engine.successors(net.integer_rows, tuple(state)), None) is None
+    rows = net.integer_rows
+    return all(_engine.update_value(rows, state, i) == v for i, v in enumerate(state))
 
 
 def _random_ticks(rng: np.random.Generator, n: int, budget: int):

@@ -5,18 +5,20 @@ threshold cut through its values splits the nodes into two maximal cohesive
 sets.  Whether a network can reach consensus at all reduces to a finite
 search: only the ordering of the initial opinions matters, so it is enough
 to search profiles with values in {-1, 0, 1} having exactly one zero entry
-(for consensus on a designated opinion) or permutations of the centred ranks
-1 - n, 3 - n, ..., n - 1 (for consensus on an arbitrary one).  Both share one
-exhaustive, hence exponential, breadth-first search that caches dead states
-up to negation; they refuse inputs beyond an explicit node bound.  The
-ternary search never builds a start state in which a cohesive pair agrees on
-a nonzero sign, since such a start provably cannot reach all-zero.
+(for consensus on a designated opinion) or permutations of the ranks
+0, 1, ..., n - 1 (for consensus on an arbitrary one).  Both share one
+exhaustive, hence exponential, breadth-first search over states packed into
+ints, which caches dead states up to reversing the rank order; they refuse
+inputs beyond an explicit node bound.  The ternary search never builds a
+start state in which a cohesive pair agrees on a nonzero sign, since such a
+start provably cannot reach all-zero.  The searches and the enumeration of
+equilibria take every node update from one ``_engine.LocalRule``, whose
+per-node memo computes each local pattern once.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import _engine
@@ -78,10 +80,13 @@ def enumerate_equilibria(
     """All equilibria over states drawn from a finite label domain.
 
     Checks every state in ``opinion_values ** n`` against the fixed-point
-    condition, so it refuses when the state count exceeds ``max_states``.
+    condition, node by node until one moves, so it refuses when the state
+    count exceeds ``max_states``.  The values are read once and must be
+    distinct and mutually comparable.
     """
-    labels = sorted(set(opinion_values))
-    if len(labels) != len(list(opinion_values)):
+    values = list(opinion_values)
+    _, labels = _engine.encode_profile(values)
+    if len(labels) != len(values):
         raise ValueError("opinion_values must be distinct")
     if not labels:
         raise ValueError("need at least one opinion value")
@@ -91,11 +96,25 @@ def enumerate_equilibria(
         raise ValueError(
             f"{len(labels)}^{n} = {count} states exceeds the budget {max_states}"
         )
-    rows = net.integer_rows
+    rule = _engine.LocalRule(net.integer_rows, len(labels))
+    rows, pack = rule.rows, rule.pack
     out = []
-    ranks = range(len(labels))
-    for state in itertools.product(ranks, repeat=n):
-        if next(_engine.successors(rows, state), None) is None:
+    for state in itertools.product(range(len(labels)), repeat=n):
+        s = None
+        for i, _, mask, memo in rule.nodes:
+            if memo is None:
+                new = _engine.update_value(rows, state, i)
+            else:
+                if s is None:
+                    s = pack(state)
+                key = s & mask
+                try:
+                    new = memo[key]
+                except KeyError:
+                    new = memo[key] = _engine.update_value(rows, state, i)
+            if new != state[i]:
+                break
+        else:
             out.append(tuple(labels[v] for v in state))
     return out
 
@@ -361,10 +380,11 @@ def decide_consensus_reachable(
     where both members of a cohesive pair hold the same sign can never
     reach all-zero, since neither member ever moves, so such starts are
     never generated, and the search prunes states that reach such a pair.
-    Every start goes through ``_shortest_path``, which caches states proven
-    unable to reach all-zero across starts, up to flipping every sign.  On
-    success the returned certificate (initial state + shortest update
-    sequence for it) is verified by replay before being returned.
+    Every start goes through ``_shortest_path`` on one ternary
+    ``_engine.LocalRule``, so node updates are memoised and states proven
+    unable to reach all-zero are cached across starts, up to flipping every
+    sign.  On success the returned certificate (initial state + shortest
+    update sequence for it) is verified by replay before being returned.
     """
     n = net.n
     if n > bound:
@@ -376,19 +396,21 @@ def decide_consensus_reachable(
         cert = ConsensusCertificate(initial=(0,), sequence=(), target_time=0)
         assert verify_certificate(net, cert)
         return True, cert
-    rows = net.integer_rows
     frozen = _frozen_nodes(net)
     if len(frozen) >= 2:
         # Two or more never-changing nodes, but only one may start at zero.
         return False, None
     zero_choices = frozen if frozen else list(range(n))
     partners = _cohesive_pairs(net)
-    target = (0,) * n
+    # Ranks 0, 1, 2 stand for -1, 0, +1, so the sign flip is ``full - s``.
+    rule = _engine.LocalRule(net.integer_rows, 3)
+    goals = {rule.pack((1,) * n)}
     dead: set = set()
 
     for z in zero_choices:
         for y0 in _pair_consistent_starts(n, z, partners):
-            path = _shortest_path(rows, y0, target.__eq__, dead, partners)
+            start = rule.pack([v + 1 for v in y0])
+            path = _shortest_path(rule, start, goals, dead, partners)
             if path is not None:
                 cert = ConsensusCertificate(initial=y0, sequence=path, target_time=len(path))
                 assert verify_certificate(net, cert)
@@ -424,37 +446,58 @@ def _pair_consistent_starts(n: int, z: int, partners: list[list[int]]):
     return assign(1)
 
 
-def _shortest_path(rows, start, is_goal, dead, partners=None):
-    """Shortest update sequence from ``start`` to a state ``is_goal`` accepts.
+def _shortest_path(rule, start, goals, dead, partners=None):
+    """Shortest update sequence from packed ``start`` to a state in ``goals``.
 
-    Breadth-first over ``_engine.successors``; ``start`` is not a goal.
-    ``dead`` holds states that cannot reach a goal, each under the smaller of
-    it and its negation (the dynamics and ``is_goal`` commute with negation);
-    a failed search adds every state it saw.  With ``partners``, a successor
-    whose updated node now agrees on a nonzero value with a cohesive partner
-    is dead too, since neither ever moves again.  Returns the node tuple or
-    None.
+    Breadth-first over the moves of ``rule`` (an ``_engine.LocalRule``),
+    expanding each state's nodes in index order; ``start`` is not a goal.
+    ``dead`` holds states that cannot reach a goal, each under the smaller
+    of it and its rank reversal ``rule.full - s`` (the dynamics and
+    ``goals`` commute with reversal); a failed search adds every state it
+    saw.  With ``partners`` (ternary states only), a successor whose updated
+    node now agrees on a nonzero sign with a cohesive partner is dead too,
+    since neither ever moves again.  Returns the node tuple or None.
     """
-    neg = operator.neg
-    if min(start, tuple(map(neg, start))) in dead:
+    full = rule.full
+    if min(start, full - start) in dead:
         return None
+    rows, field, shifts, unpack = rule.rows, rule.field, rule.shifts, rule.unpack
     parents = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
-            for i, s2 in _engine.successors(rows, s):
+            state = None
+            for i, sh, mask, memo in rule.nodes:
+                if memo is None:
+                    if state is None:
+                        state = unpack(s)
+                    new = _engine.update_value(rows, state, i)
+                else:
+                    key = s & mask
+                    try:
+                        new = memo[key]
+                    except KeyError:
+                        if state is None:
+                            state = unpack(s)
+                        new = memo[key] = _engine.update_value(rows, state, i)
+                old = s >> sh & field
+                if new == old:
+                    continue
+                s2 = s + (new - old << sh)
                 if s2 in parents:
                     continue
-                canon = min(s2, tuple(map(neg, s2)))
+                canon = full - s2
+                if s2 < canon:
+                    canon = s2
                 if canon in dead:
                     continue
-                v = s2[i]
-                if partners is not None and v and v in [s2[p] for p in partners[i]]:
+                if (partners is not None and new != 1
+                        and new in [s2 >> shifts[p] & field for p in partners[i]]):
                     dead.add(canon)
                     continue
                 parents[s2] = (s, i)
-                if is_goal(s2):
+                if s2 in goals:
                     path = []
                     while parents[s2] is not None:
                         s2, i = parents[s2]
@@ -462,7 +505,7 @@ def _shortest_path(rows, start, is_goal, dead, partners=None):
                     return tuple(reversed(path))
                 nxt.append(s2)
         frontier = nxt
-    dead.update(min(s, tuple(map(neg, s))) for s in parents)
+    dead.update(min(s, full - s) for s in parents)
     return None
 
 
@@ -473,24 +516,25 @@ def _distinct_profile_consensus_search(net: InfluenceNetwork) -> bool:
     """Can some all-distinct initial profile reach consensus on any value?
 
     Only the opinion ordering matters, so initial profiles are searched as
-    permutations of the centred ranks ``1 - n, 3 - n, ..., n - 1``, on which
-    reversing the order is the negation ``_shortest_path`` caches under.
+    permutations of the ranks ``range(n)``; reversing the order is the
+    symmetry ``_shortest_path`` caches dead states under.
     """
     n = net.n
     if n == 1:
         return True
-    rows = net.integer_rows
+    rule = _engine.LocalRule(net.integer_rows, n)
+    goals = {rule.pack((v,) * n) for v in range(n)}
     dead: set = set()
     return any(
-        _shortest_path(rows, y0, lambda s: len(set(s)) == 1, dead) is not None
-        for y0 in itertools.permutations(range(1 - n, n, 2))
+        _shortest_path(rule, rule.pack(y0), goals, dead) is not None
+        for y0 in itertools.permutations(range(n))
     )
 
 
 def consensus_reachability_cross_check(net: InfluenceNetwork, *, bound: int = 6) -> bool:
     """Run the two consensus-reachability formulations; do they agree?
 
-    One searches all-distinct centred-rank profiles and accepts consensus on
+    One searches all-distinct rank profiles and accepts consensus on
     any value; the other searches one-zero ternary profiles and accepts only
     the all-zero state.  They share the breadth-first search but not their
     starts or goals, and must always return the same verdict.

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import operator
 import random
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_coprime_network, random_network, random_profile, reduction_corpus
+from conftest import (
+    random_coprime_network,
+    random_network,
+    random_profile,
+    random_row,
+    reduction_corpus,
+)
 from median_consensus import (
     ConsensusCertificate,
     InfluenceNetwork,
@@ -32,6 +41,7 @@ from median_consensus.equilibria import (
     _distinct_profile_consensus_search,
     _frozen_nodes,
     _pair_consistent_starts,
+    _shortest_path,
 )
 from median_consensus.median import closest_weighted_median
 
@@ -44,6 +54,38 @@ def differential_networks(seed, count):
     for k in range(count):
         n = rnd.randint(1, 6)
         yield rnd, random_network(rnd, n) if k % 2 else random_coprime_network(rnd, n)
+
+
+def covering_networks(seed, count):
+    """Networks with a self-loop on every row, whose rows all, none or some
+    listen to every node; the other rows listen to a random set of others."""
+    rnd = random.Random(seed)
+    for k in range(count):
+        n = rnd.randint(2, 6)
+        full_rows = (
+            set(range(n)) if k % 3 == 0 else set() if k % 3 == 1
+            else set(rnd.sample(range(n), rnd.randint(1, n - 1)))
+        )
+        dense = []
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            if i not in full_rows:
+                others = rnd.sample(others, rnd.randint(0, n - 1))
+            row = [F(0)] * n
+            for j, w in zip([i, *others], random_row(rnd, len(others) + 1)):
+                row[j] = w
+            dense.append(row)
+        yield rnd, InfluenceNetwork.from_rows(dense)
+
+
+def covering_corpus(seed, count):
+    """``covering_networks`` plus the uniform complete fixtures, with and
+    without self-loops."""
+    nets = [net for _, net in covering_networks(seed, count)]
+    nets += [fixtures.complete_uniform(n) for n in (2, 3, 4, 5)]
+    nets += [fixtures.complete_uniform(n, self_loops=True) for n in (1, 2, 3, 4)]
+    nets += [fixtures.lattice(2, 3), fixtures.bridged_cliques(3, "1/3")]
+    return nets
 
 
 def pointwise_equilibrium(net, x):
@@ -102,19 +144,29 @@ class TestIntegerThresholdsMatchFractionOracle:
                 assert is_equilibrium(net, state) == expected
 
     def test_successors_match_median_oracle(self):
-        for rnd, net in differential_networks(0x5CC, 40):
+        # Fill every node's memo by searching from a random profile, over its
+        # own ranks and over ternary ranks, then check each entry: its key
+        # holds the node's and its row's ranks, and those decide the median.
+        checked = 0
+        for rnd, net in chain(
+            differential_networks(0x5CC, 40), covering_networks(0x5CD, 12)
+        ):
             x = random_profile(rnd, net.n)
             state, table = _engine.encode_profile(x)
-            got = [
-                (i, tuple(table[v] for v in s))
-                for i, s in _engine.successors(net.integer_rows, tuple(state))
-            ]
-            expected = []
-            for i in range(net.n):
-                m = closest_weighted_median(x, [net.weight(i, j) for j in range(net.n)], x[i])
-                if m != x[i]:
-                    expected.append((i, x[:i] + (m,) + x[i + 1 :]))
-            assert got == expected
+            ternary = [rnd.randint(0, 2) for _ in range(net.n)]
+            for levels, start in ((len(table), state), (3, ternary)):
+                rule = _engine.LocalRule(net.integer_rows, levels)
+                goals = {rule.pack((v,) * net.n) for v in range(levels)}
+                _shortest_path(rule, rule.pack(start), goals, set())
+                for i, _, _, memo in rule.nodes:
+                    covers_all = {i, *net.out_neighbors(i)} == set(range(net.n))
+                    assert (memo is None) == (covers_all or levels == 1)
+                    weights = [net.weight(i, j) for j in range(net.n)]
+                    for key, new in (memo or {}).items():
+                        ranks = rule.unpack(key)
+                        assert new == closest_weighted_median(ranks, weights, ranks[i])
+                        checked += 1
+        assert checked > 500
 
 
 class TestEnumerateEquilibria:
@@ -143,6 +195,24 @@ class TestEnumerateEquilibria:
         net = fixtures.self_loop_nodes(21)
         with pytest.raises(ValueError, match="state"):
             enumerate_equilibria(net, (0, 1))
+
+    def test_generator_of_values_is_read_once(self):
+        net = fixtures.complete_uniform(3)
+        assert enumerate_equilibria(net, (v for v in (0, 1))) == [(0,) * 3, (1,) * 3]
+
+    def test_incomparable_labels_rejected(self):
+        with pytest.raises(ValueError, match="mutually comparable"):
+            enumerate_equilibria(fixtures.complete_uniform(3), ["a", 1])
+
+    def test_matches_frozen_product_oracle(self):
+        rnd = random.Random(0xE9)
+        nets = [random_network(rnd, rnd.randint(1, 6)) for _ in range(60)]
+        nets += [random_coprime_network(rnd, rnd.randint(2, 5)) for _ in range(10)]
+        nets += covering_corpus(0xE9A, 24)
+        for k, net in enumerate(nets):
+            labels = ("lo", "mid", "hi") if k % 2 else (0, 1, 2, 3)[: 2 + k % 3]
+            if len(labels) ** net.n <= 5000:
+                assert enumerate_equilibria(net, labels) == product_equilibria(net, labels)
 
     def test_members_all_satisfy_structural_acceptor(self):
         rnd = random.Random(0x97)
@@ -306,7 +376,28 @@ class TestDecideConsensusReachable:
                 assert set(state) != {0}
 
 
-# -- oracles: frozen copies of the two searches that ``_shortest_path`` replaced --
+# -- oracles: frozen copies of the searches before packed states and memos --
+
+
+def successors(int_rows, state: tuple):
+    """Yield ``(i, next_state)`` for every node whose update moves it, in
+    index order, by a full ``update_value`` per node."""
+    for i in range(len(state)):
+        new = _engine.update_value(int_rows, state, i)
+        if new != state[i]:
+            yield i, state[:i] + (new,) + state[i + 1 :]
+
+
+def product_equilibria(net, opinion_values):
+    """Every state over the labels with no successor, in product order."""
+    labels = sorted(set(opinion_values))
+    rows = net.integer_rows
+    return [
+        tuple(labels[v] for v in state)
+        for state in product(range(len(labels)), repeat=net.n)
+        if next(successors(rows, state), None) is None
+    ]
+
 
 
 def _pair_blocked(state, node, partners):
@@ -330,7 +421,7 @@ def _search_to_zero(rows, y0, target, dead, partners):
     while frontier and found is None:
         nxt = []
         for s in frontier:
-            for i, s2 in _engine.successors(rows, s):
+            for i, s2 in successors(rows, s):
                 if s2 in parents:
                     continue
                 canon = min(s2, tuple(map(neg, s2)))
@@ -384,7 +475,7 @@ def distinct_profile_search(net):
         while frontier:
             nxt = []
             for s in frontier:
-                for _, s2 in _engine.successors(rows, s):
+                for _, s2 in successors(rows, s):
                     if s2 in seen or min(s2, mirror(s2)) in dead:
                         continue
                     if len(set(s2)) == 1:
@@ -466,6 +557,7 @@ class TestPairConsistentStarts:
         nets = [random_network(rnd, rnd.randint(1, 7)) for _ in range(300)]
         nets += [random_coprime_network(rnd, rnd.randint(2, 6)) for _ in range(40)]
         nets += gadget_networks()
+        nets += covering_corpus(0xDEC1DF, 60)
         reachable = 0
         for net in nets:
             verdict = decide_consensus_reachable(net, bound=net.n)
@@ -487,11 +579,63 @@ class TestPairConsistentStarts:
         assert decide_consensus_reachable(net) == (False, None)
 
 
+@pytest.fixture
+def update_value_calls(monkeypatch):
+    """Counts ``_engine.update_value`` calls made through the module, as the
+    benchmark's ``EngineCounter`` does; in a search each is a memo miss."""
+    calls = [0]
+    orig = _engine.update_value
+
+    def counted(int_rows, state, i):
+        calls[0] += 1
+        return orig(int_rows, state, i)
+
+    monkeypatch.setattr(_engine, "update_value", counted)
+    return calls
+
+
+class TestSearchWork:
+    """Exact work counts: a change that drops the memo, the cohesive-pair
+    prune or the rank-reversal symmetry of the dead-state cache keeps every
+    verdict and only costs time, so the counts are what shows it."""
+
+    def test_decide_without_consensus(self, update_value_calls):
+        assert decide_consensus_reachable(fixtures.disjoint_cliques(4, 3)) == (False, None)
+        assert update_value_calls[0] == 692
+
+    def test_decide_on_unsatisfiable_gadget(self, update_value_calls):
+        inst = reduction_corpus()[4]
+        net = build_svc_graph(inst).network
+        assert decide_consensus_reachable(net, bound=net.n) == (False, None)
+        assert update_value_calls[0] == 66
+
+    def test_enumerate_equilibria(self, update_value_calls):
+        assert len(enumerate_equilibria(fixtures.lattice(3, 3), range(3))) == 947
+        assert update_value_calls[0] == 675
+
+    def test_distinct_profile_search(self, update_value_calls):
+        net = fixtures.disjoint_cliques(clique_size=3, blocks=2)
+        assert _distinct_profile_consensus_search(net) is False
+        assert update_value_calls[0] == 822
+
+
 class TestCertificates:
     def test_json_roundtrip(self):
         cert = ConsensusCertificate(initial=(-1, 0, 1), sequence=(2, 0), target_time=2)
         back = ConsensusCertificate.from_json_dict(cert.to_json_dict())
         assert back == cert
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+    def test_decide_certificates_roundtrip_json_and_replay(self, seed, n):
+        net = random_network(random.Random(seed), n)
+        reachable, cert = decide_consensus_reachable(net)
+        if not reachable:
+            assert cert is None
+            return
+        back = ConsensusCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+        assert back == cert
+        assert verify_certificate(net, back)
 
     def test_target_time_must_match_length(self):
         with pytest.raises(ValueError):
@@ -538,6 +682,7 @@ class TestCrossCheck:
         nets = [random_network(rnd, rnd.randint(1, 6)) for _ in range(200)]
         nets += [random_coprime_network(rnd, rnd.randint(2, 5)) for _ in range(20)]
         nets += [fixtures.disjoint_cliques(clique_size=3, blocks=2), fixtures.directed_ring(5)]
+        nets += covering_corpus(0xD15D, 40)
         verdicts = [_distinct_profile_consensus_search(net) for net in nets]
         assert verdicts == [distinct_profile_search(net) for net in nets]
         assert 0 < sum(verdicts) < len(nets)
