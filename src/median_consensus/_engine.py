@@ -8,12 +8,18 @@ compare integer masses against the denominator.  Dynamics, cohesion and
 equilibria call these functions instead of computing with Fractions;
 ``median.py`` is the readable reference.
 
-A median is read off a mass table ``{rank: integer mass}`` by
-``median_of``.  ``update_value`` builds that table from a whole row; runs
-keep one table per node instead and, on each opinion change, move the
-changed node's weight from its old rank to its new one in every listener's
-table, so a change costs one entry per listener rather than every
-listener's whole row.
+A median is read off a mass table ``{rank: integer mass}``: the lower
+median is the first rank, in order, whose cumulative mass reaches half
+(``lower_median``), and the interval also takes the next rank when that
+mass is exactly half (``median_of``).  ``update_value`` builds the table
+from a whole row and is the oracle for single steps, equilibrium checks and
+the searches.  Runs keep one table per node instead, with its occupied
+ranks in order, its lower median and the mass at or below it, all set up
+by ``lower_median``.  On each opinion change they move the changed node's
+weight from its old rank to its new one in every listener's table and walk
+the listener's lower median to an adjacent occupied rank as needed, so a
+change costs one entry per listener rather than a sort of every listener's
+table.
 
 The exhaustive searches visit many states that differ in a few nodes, so
 they use ``LocalRule``: a state packed into one int, and per node a memo
@@ -64,23 +70,29 @@ def row_masses(row, state) -> dict:
     return masses
 
 
-def median_of(masses, denom, ref):
-    """Closest weighted median of a mass table, clamping ``ref`` into it.
-
-    ``masses`` maps ranks to positive integer masses summing to ``denom``.
-    The median interval starts at the first rank whose cumulative mass
-    reaches half; it also takes the next rank when that cumulative mass is
-    exactly half.  Ranks outside the table never become interval endpoints,
-    so the table is enough.
-    """
-    ranks = sorted(masses)
+def lower_median(ranks, masses, denom):
+    """``(k, below)``: ``ranks[k]`` is the first of the sorted ``ranks`` whose
+    cumulative mass reaches half of ``denom``, and ``below`` is that mass."""
     below = 0
     for k, v in enumerate(ranks):
         below += masses[v]
         if 2 * below >= denom:
-            lo = v
-            hi = ranks[k + 1] if 2 * below == denom else v
-            break
+            return k, below
+
+
+def median_of(masses, denom, ref):
+    """Closest weighted median of a mass table, clamping ``ref`` into it.
+
+    ``masses`` maps ranks to positive integer masses summing to ``denom``.
+    The median interval starts at the lower median (``lower_median``); it
+    also takes the next rank when the mass up to the lower median is
+    exactly half.  Ranks outside the table never become interval endpoints,
+    so the table is enough.
+    """
+    ranks = sorted(masses)
+    k, below = lower_median(ranks, masses, denom)
+    lo = ranks[k]
+    hi = ranks[k + 1] if 2 * below == denom else lo
     if ref < lo:
         return lo
     if ref > hi:

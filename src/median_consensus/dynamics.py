@@ -16,6 +16,7 @@ seed, so results do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,18 +147,33 @@ def _random_ticks(rng: np.random.Generator, n: int, budget: int):
 def _run_encoded(net, state, ticks, budget):
     """Core loop over an encoded state; returns (steps, converged, used).
 
-    ``hist[i]`` is node i's mass table.  When node i moves, only its weight
-    in each listener's table moves, so only the listeners' medians are
-    recomputed.  Node i itself is stable after its move: its new value is a
-    median of its table, and moving its own weight onto that value (when it
-    listens to itself) keeps it one.
+    ``hist[i]`` is node i's mass table, ``ranks[i]`` its occupied ranks in
+    order, ``lo[i]`` its lower median and ``below[i]`` the mass at or below
+    ``lo[i]``; ``_engine.lower_median`` sets them up.  When node i moves,
+    only its weight in each listener's table moves: the listener's
+    ``below`` changes by that weight, and its lower median walks up or down
+    the adjacent occupied ranks until the mass at or below it reaches half
+    and the mass strictly below it does not.  The interval's upper end is
+    the next occupied rank exactly when that mass is half.  Node i itself
+    is stable after its move: its new value is a median of its table, and
+    moving its own weight onto that value (when it listens to itself) keeps
+    it one.
     """
     rows = net.integer_rows
     listeners = net.listener_weights
-    median_of = _engine.median_of
     denoms = [row[2] for row in rows]
     hist = [_engine.row_masses(row, state) for row in rows]
-    med = [median_of(h, d, v) for h, d, v in zip(hist, denoms, state)]
+    ranks = [sorted(h) for h in hist]
+    lo = []
+    below = []
+    med = []
+    for h, rk, d, v in zip(hist, ranks, denoms, state):
+        k, b = _engine.lower_median(rk, h, d)
+        m = rk[k]
+        hi = rk[k + 1] if 2 * b == d else m
+        lo.append(m)
+        below.append(b)
+        med.append(m if v < m else hi if v > hi else v)
     unstable = {i for i in range(net.n) if med[i] != state[i]}
     records = []
     if not unstable:
@@ -174,15 +190,51 @@ def _run_encoded(net, state, ticks, budget):
             nodes, wints = listeners[i]
             for j, w in zip(nodes, wints):
                 h = hist[j]
+                rk = ranks[j]
+                m = lo[j]
+                b = below[j]
                 rest = h[old] - w
                 if rest:
                     h[old] = rest
                 else:
                     del h[old]
-                h[new] = h.get(new, 0) + w
-                m = median_of(h, denoms[j], state[j])
-                med[j] = m
-                if m != state[j]:
+                    del rk[bisect_left(rk, old)]
+                if new in h:
+                    h[new] += w
+                else:
+                    h[new] = w
+                    insort(rk, new)
+                if old <= m:
+                    b -= w
+                if new <= m:
+                    b += w
+                d = denoms[j]
+                if 2 * b < d:
+                    k = bisect_right(rk, m)
+                    m = rk[k]
+                    b += h[m]
+                    while 2 * b < d:
+                        k += 1
+                        m = rk[k]
+                        b += h[m]
+                elif m not in h or 2 * (b - h[m]) >= d:
+                    k = bisect_left(rk, m)
+                    if m not in h:
+                        # The lower median emptied: b is the mass up to
+                        # the occupied rank before it.
+                        k -= 1
+                        m = rk[k]
+                    while 2 * (b - h[m]) >= d:
+                        b -= h[m]
+                        k -= 1
+                        m = rk[k]
+                lo[j] = m
+                below[j] = b
+                hi = rk[bisect_right(rk, m)] if 2 * b == d else m
+                v = state[j]
+                x = m if v < m else hi if v > hi else v
+                med[j] = x
+                if x != v:
                     unstable.add(j)
                 else:
                     unstable.discard(j)

@@ -193,13 +193,33 @@ def _cleared(entries: list[tuple[int, Fraction]], normalize: bool = False) -> tu
     return tuple(j for j, _ in entries), wints, denom
 
 
+def _weight_parser():
+    """``to_fraction`` for one load, parsing each distinct string once.
+
+    Only ``str`` tokens are cached: ``True``, ``1`` and ``1.0`` hash equal,
+    so a shared key would let a bool or float weight through.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def parse(raw) -> Fraction:
+        if type(raw) is not str:
+            return to_fraction(raw)
+        w = parsed.get(raw)
+        if w is None:
+            w = parsed[raw] = to_fraction(raw)
+        return w
+
+    return parse
+
+
 def _dense_network(n: int, rows: Sequence[Sequence]) -> InfluenceNetwork:
     """Network from ``rows`` of ``n`` weights each; zero entries are dropped."""
+    parse = _weight_parser()
     cleared = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NetworkFormatError(f"row {i} has {len(row)} entries, expected {n}")
-        weights = map(to_fraction, row)
+        weights = map(parse, row)
         cleared.append(_cleared([(j, w) for j, w in enumerate(weights) if w]))
     return InfluenceNetwork(n, tuple(cleared))
 
@@ -212,6 +232,7 @@ def _edge_network(n: int, edges: Sequence, normalize: bool, base: int) -> Influe
             f"n={n} but the edge list has {len(edges)} entries: every node needs a "
             "row of positive weights summing to 1"
         )
+    parse = _weight_parser()
     buckets: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for entry in edges:
         try:
@@ -222,7 +243,7 @@ def _edge_network(n: int, edges: Sequence, normalize: bool, base: int) -> Influe
             raise NetworkFormatError(
                 f"edge ({i!r}, {j!r}): endpoints must be ints in {base}..{n - 1 + base}"
             )
-        w = to_fraction(raw)
+        w = parse(raw)
         if w:
             # Only a plain int is shifted; anything else reaches
             # __post_init__ as given, and it names it.

@@ -6,8 +6,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import network_corpus, random_coprime_network, random_network, random_profile
+from conftest import (
+    network_corpus,
+    random_coprime_network,
+    random_network,
+    random_profile,
+    random_row,
+)
 from median_consensus import (
     EnsembleReport,
     GridUniform,
@@ -288,13 +296,29 @@ class TestIncrementalTables:
     exactly what the whole-row reference loop gives."""
 
     @staticmethod
-    def networks():
+    def dense_networks():
+        """Rows that hold many ranks.  On complete graphs an even denominator
+        gives half ties; unequal full rows move medians further."""
+        rnd = random.Random(0xFA7)
+        nets = [
+            fixtures.complete_uniform(n, self_loops=loops)
+            for n in (12, 13, 16, 17, 20)
+            for loops in (False, True)
+        ]
+        nets += [
+            InfluenceNetwork.from_rows([random_row(rnd, n, 3 * n) for _ in range(n)])
+            for n in (12, 15, 18, 20)
+        ]
+        return nets
+
+    @classmethod
+    def networks(cls):
         rnd = random.Random(0x7AB1E)
         nets = network_corpus()
         nets += [random_network(rnd, rnd.randint(2, 9)) for _ in range(12)]
         nets += [random_coprime_network(rnd, rnd.randint(2, 7)) for _ in range(6)]
         nets.append(fixtures.complete_uniform(4, self_loops=True))  # half ties
-        return nets
+        return nets + cls.dense_networks()
 
     @staticmethod
     def reference(monkeypatch, call):
@@ -326,9 +350,55 @@ class TestIncrementalTables:
                 outcomes.add(fast.converged)
         assert outcomes == {True, False}
 
+    def test_dense_rows_whose_ranks_empty_and_return(self, monkeypatch):
+        # A spread of 2n gives each rank to about one node, so moves keep
+        # emptying ranks of a listener's table and filling them again.
+        rnd = random.Random(0xDE45E)
+        for net in self.dense_networks():
+            for budget in (None, 2 * net.n):
+                x0 = random_profile(rnd, net.n, spread=2 * net.n)
+                schedule = RandomSchedule(seed=rnd.randrange(10**6), budget=budget)
+                fast = run(net, x0, schedule)
+                assert fast == self.reference(monkeypatch, lambda: run(net, x0, schedule))
+                seq = [rnd.randrange(net.n) for _ in range(3 * net.n)]
+                fast = run(net, x0, seq)
+                assert fast == self.reference(monkeypatch, lambda: run(net, x0, seq))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(0, 16),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_matches_reference_property(self, net_seed, n, spread, seed, budget):
+        rnd = random.Random(net_seed)
+        net = random_network(rnd, n)
+        x0 = random_profile(rnd, n, spread=spread)
+        schedule = RandomSchedule(seed=seed, budget=budget)
+        fast = run(net, x0, schedule)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(dynamics, "_run_encoded", _reference_run_encoded)
+            assert fast == run(net, x0, schedule)
+        assert fast.replay() == fast.terminal
+
+    def test_dense_ensemble_matches_reference_at_one_and_two_workers(self, monkeypatch):
+        net = fixtures.complete_uniform(16)
+        for seed in (0, 41):
+            def call(workers):
+                return ensemble(net, GridUniform(points=201), 6, seed, workers=workers)
+
+            expected = self.reference(monkeypatch, lambda: call(1))
+            serial = call(1)
+            parallel = call(2)
+            assert serial == expected and serial.census == expected.census
+            assert parallel == serial and parallel.census == serial.census
+            assert parallel.to_json_dict() == expected.to_json_dict()
+
     def test_ensembles_at_one_and_two_workers(self, monkeypatch):
         nets = self.networks()
-        picks = [nets[1], nets[3], nets[10], nets[-3], nets[-1]]
+        picks = [nets[1], nets[3], nets[10], nets[26], nets[28]]
         for k, net in enumerate(picks):
             for source in (LabelUniform(k=3), GridUniform(points=9)):
                 for budget in (None, 5):

@@ -303,6 +303,16 @@ class TestFormats:
         with pytest.raises(NetworkFormatError, match="'edges' must be a list"):
             network_from_json_dict({"n": 2, "edges": edges})
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(True, "booleans are not valid weights"), (1.0, "refusing float 1.0")],
+    )
+    def test_json_weights_equal_to_parsed_ones_are_still_refused(self, bad, message):
+        # True and 1.0 hash equal to the int 1 met earlier in the same load.
+        payload = {"n": 3, "edges": [[1, 1, "1"], [2, 2, 1], [3, 3, bad]]}
+        with pytest.raises(NetworkFormatError, match=message):
+            network_from_json_dict(payload)
+
     def test_json_normalize_flag(self):
         payload = {"n": 1, "normalize": True, "edges": [[1, 1, "7"]]}
         assert network_from_json_dict(payload).weight(0, 0) == F(1)
