@@ -186,12 +186,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     net = _load_net(args)
-    source = parse_initial_spec(args.initial)
-    if not hasattr(source, "draw") and len(source) != net.n:
-        raise ValueError(f"initial state has {len(source)} entries, network has {net.n} nodes")
     report = ensemble(
         net,
-        source,
+        parse_initial_spec(args.initial),
         replicas=args.replicas,
         seed=args.seed,
         budget=args.budget,

@@ -5,7 +5,9 @@ its weight inside M, and *maximal cohesive* when additionally no outside
 node places strictly more than half of its weight into M.  The *expansion*
 of a set repeatedly admits any outside node with strict-majority weight on
 the current set; the result is independent of admission order, and for a
-cohesive seed it is the smallest maximal cohesive superset.
+cohesive seed it is the smallest maximal cohesive superset.  ``_expand``
+does every expansion, the two per value class in ``build_update_sequence``
+too, and after an admission rescans from the first node it affected.
 
 Maximal cohesive sets are exactly the blocks that can hold an opinion
 forever: once all members agree, no member ever leaves and no strict
@@ -73,6 +75,27 @@ class ExpansionTrace:
     additions: tuple[tuple[int, int], ...]  # (node, admission step), steps from 1
 
 
+def _expand(rows, listeners, inside, order, pos) -> list[int]:
+    """Grow the 0/1 list ``inside`` in place; return the admitted nodes.
+
+    Each admission takes the first outside node of ``order`` with a positive
+    margin on the set; ``pos[j]`` is j's place in ``order``.  It raises only
+    its listeners' margins (``listeners[j][0]``, as in ``listener_weights``)
+    and no earlier node qualified, so the next scan starts at the earliest
+    of their places and the place after it.
+    """
+    margin = _engine.margin
+    admitted: list[int] = []
+    p = 0
+    while True:
+        pick = next((j for j in order[p:] if not inside[j] and margin(rows[j], inside) > 0), None)
+        if pick is None:
+            return admitted
+        inside[pick] = 1
+        admitted.append(pick)
+        p = min([pos[pick] + 1, *[pos[i] for i in listeners[pick][0]]])
+
+
 def cohesive_expansion(
     net: InfluenceNetwork,
     members: Iterable[int],
@@ -85,32 +108,18 @@ def cohesive_expansion(
     set never depends on this choice.
     """
     inside = _indicator(net, members)
+    n = net.n
+    order = pos = range(n)
     if order_hint is not None:
         hint = list(order_hint)
-        if sorted(hint) != list(range(net.n)):
+        if sorted(hint) != list(pos):
             raise ValueError("order_hint must be a permutation of all node indices")
-        priority = {node: pos for pos, node in enumerate(hint)}
-    else:
-        priority = None
-    rows = net.integer_rows
-    additions: list[tuple[int, int]] = []
-    step = 0
-    while True:
-        qualifiers = [
-            i for i in range(net.n)
-            if not inside[i] and _engine.margin(rows[i], inside) > 0
-        ]
-        if not qualifiers:
-            break
-        if priority is not None:
-            chosen = min(qualifiers, key=priority.__getitem__)
-        else:
-            chosen = min(qualifiers)
-        step += 1
-        inside[chosen] = 1
-        additions.append((chosen, step))
-    result = frozenset(i for i in range(net.n) if inside[i])
-    return ExpansionTrace(result=result, additions=tuple(additions))
+        # Sorting indices by a permutation's entries inverts it.
+        pos = sorted(range(n), key=hint.__getitem__)
+        order = sorted(range(n), key=pos.__getitem__)
+    admitted = _expand(net.integer_rows, net.listener_weights, inside, order, pos)
+    additions = tuple((node, step) for step, node in enumerate(admitted, 1))
+    return ExpansionTrace(result=frozenset(i for i in range(n) if inside[i]), additions=additions)
 
 
 def enumerate_maximal_cohesive_sets(

@@ -391,6 +391,9 @@ def ensemble(
     if eff_workers < 1:
         raise ValueError("workers must be at least 1")
     eff_workers = min(eff_workers, replicas)
+    if not hasattr(x0_source, "draw"):
+        # A fixed state is checked here, before any replica or worker starts.
+        x0_source = _draw_initial(x0_source, None, net.n)
 
     if eff_workers == 1:
         summaries = [

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from . import _engine
 from .cohesion import (
     DEFAULT_ENUMERATION_BOUND,
+    _expand,
     has_nontrivial_maximal_cohesive_set,
     is_cohesive,
     is_maximal_cohesive,
 )
-from .dynamics import RandomSchedule, default_budget, is_equilibrium, run
+from .dynamics import RandomSchedule, _validate_state, default_budget, is_equilibrium, run
 from .network import (
     InfluenceNetwork,
     decisive_subgraph,
@@ -171,8 +172,10 @@ def classify(
     (None); if ``mc_replicas`` > 0, seeded runs from an all-distinct initial
     state are used as falsification only -- an observed consensus proves
     consensus is reachable, absence of one proves nothing -- and the scope
-    notes say so.
+    notes say so.  A negative ``mc_replicas`` is rejected.
     """
+    if mc_replicas < 0:
+        raise ValueError("mc_replicas must be at least 0")
     n = net.n
     exhaustive = n <= cohesion_bound
     scope: dict = {"cohesion_bound": cohesion_bound, "cohesion_exhaustive": exhaustive}
@@ -243,49 +246,35 @@ def classify(
 def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], tuple]:
     """A deterministic update sequence from ``x0`` to an equilibrium.
 
-    Processes the occurring values from lowest to highest.  For each value
-    class: first repeatedly update any node of the class whose weight on
-    strictly higher values exceeds 1/2 (each such update leaves the class),
-    then expand the settled low block by updating outside nodes holding a
-    strict majority on it (each such update joins the class).  Both loops
-    pick the lowest-index qualifier, so the schedule is deterministic.
+    Processes the occurring values from lowest to highest with two cohesive
+    expansions per value class: of the block above it, whose admitted class
+    members leave the class when updated, then of the low block left
+    behind, whose admitted nodes join it.  Both admit the lowest-index
+    qualifier first, so the schedule is deterministic.
 
     Returns ``(schedule, terminal)``.  The terminal state is verified to be
     an equilibrium by replaying the schedule; failure raises RuntimeError.
     """
-    vals = list(x0)
-    if len(vals) != net.n:
-        raise ValueError(f"state length {len(vals)} != n={net.n}")
+    vals = _validate_state(net, x0)
     state, table = _engine.encode_profile(vals)
     rows = net.integer_rows
-    n = net.n
+    order = range(net.n)
     schedule: list[int] = []
 
     for level in range(len(table) - 1):
-        # low[i] == 1 exactly when state[i] <= level; flipped after each pick.
-        low = [int(v <= level) for v in state]
-        # Escape loop (member=1): class members whose margin on the block is
-        # negative, i.e. a strict high-side majority, leave the class.
-        # Expansion loop (member=0): outside nodes with a positive margin
-        # join it.
-        for member, sign in ((1, -1), (0, 1)):
-            start = 0
-            while True:
-                pick = next(
-                    (i for i in range(start, n)
-                     if low[i] == member and sign * _engine.margin(rows[i], low) > 0),
-                    None,
-                )
-                if pick is None:
-                    break
+        # Rows sum to the denominator, so a low node's margin on the high
+        # block is minus its margin on the low block.
+        high = [int(v > level) for v in state]
+        escaped = _expand(rows, net.listener_weights, high, order, order)
+        low = [h ^ 1 for h in high]
+        # Every node escaped when the low block is empty; nothing can join it.
+        joined = _expand(rows, net.listener_weights, low, order, order) if any(low) else []
+        for picks, below in ((escaped, False), (joined, True)):
+            for pick in picks:
                 state[pick] = _engine.update_value(rows, state, pick)
-                if (state[pick] <= level) == member:
+                if (state[pick] <= level) != below:
                     raise RuntimeError("update failed to cross the value class boundary")
-                low[pick] ^= 1
-                schedule.append(pick)
-                # Only the pick's listeners have new margins, and no node
-                # below the pick qualified before it, so rescan from there.
-                start = min((pick + 1, *net.listener_weights[pick][0]))
+            schedule += picks
 
     terminal = tuple(table[v] for v in state)
     traj = run(net, tuple(vals), tuple(schedule))

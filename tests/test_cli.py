@@ -121,6 +121,15 @@ class TestEnsemble:
         assert rc == 1 and captured.out == ""
         assert "must be at least 1" in captured.err
 
+    def test_wrong_length_initial(self, complete4, capsys):
+        rc = cli.main(
+            ["ensemble", "--network", complete4, "--initial", "0,1,2",
+             "--replicas", "4", "--seed", "11", "--workers", "2"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: initial state length 3 != n=4\n"
+
 
 class TestAnalyze:
     def test_json_fields(self, cliques, capsys):
@@ -169,6 +178,14 @@ class TestClassify:
         assert payload["result"]["consensus_certain"] is False
         assert payload["result"]["dissensus_certain"] is True
         assert payload["result"]["dissensus_witness"] == [1, 2, 3]
+
+    def test_negative_mc_replicas_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "complete20.csv"
+        save_network(fixtures.complete_uniform(20), path)
+        rc = cli.main(["classify", "--network", str(path), "--mc-replicas", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: mc_replicas must be at least 0\n"
 
 
 class TestEquilibria:

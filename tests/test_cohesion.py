@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_coprime_network, random_network
 from median_consensus import (
@@ -135,6 +137,17 @@ class TestExpansion:
                 order = list(range(net.n))
                 rnd.shuffle(order)
                 assert cohesive_expansion(net, seed, order_hint=order).result == base
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+    def test_result_independent_of_admission_order(self, seed, n, data):
+        net = random_network(random.Random(seed), n)
+        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        order = data.draw(st.permutations(range(n)))
+        result = cohesive_expansion(net, members, order_hint=order).result
+        assert result == cohesive_expansion(net, members).result
+        if is_cohesive(net, members):
+            assert is_maximal_cohesive(net, result)
 
     def test_bad_order_hint(self):
         net = fixtures.complete_uniform(3)

@@ -290,6 +290,20 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least 1"):
             ensemble(fixtures.complete_uniform(3), LabelUniform(k=2), replicas=2, seed=1, **option)
 
+    def test_fixed_state_length_checked_before_any_replica(self, monkeypatch):
+        def no_replica(*args):
+            raise AssertionError("a replica ran")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(dynamics, "_replica_summary", no_replica)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="initial state length 3 != n=4"):
+                ensemble(fixtures.complete_uniform(4), (0, 1, 2), replicas=4, seed=1,
+                         workers=workers)
+
 
 class TestIncrementalTables:
     """``run`` and ``ensemble`` keep per-node mass tables; they must give

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction as F
 from itertools import chain, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +20,17 @@ from conftest import (
     random_row,
     reduction_corpus,
 )
+from expansion_oracles import rescan_cohesive_expansion, two_loop_update_sequence
 from median_consensus import (
     ConsensusCertificate,
+    GridUniform,
     InfluenceNetwork,
     RandomSchedule,
     _engine,
     build_svc_graph,
     build_update_sequence,
     classify,
+    cohesive_expansion,
     consensus_reachability_cross_check,
     decide_consensus_reachable,
     enumerate_equilibria,
@@ -262,6 +266,10 @@ class TestClassify:
         traj = run(net, (0, 1, 2), RandomSchedule(seed=3))
         assert traj.converged and len(set(traj.terminal)) == 1
 
+    def test_negative_mc_replicas_rejected(self):
+        with pytest.raises(ValueError, match="mc_replicas"):
+            classify(fixtures.complete_uniform(20), mc_replicas=-1)
+
     def test_undecided_beyond_bound_with_falsification(self):
         rep = classify(fixtures.complete_uniform(6), cohesion_bound=3, mc_replicas=40, seed=4)
         assert rep.consensus_certain is None
@@ -328,11 +336,59 @@ class TestBuildUpdateSequence:
             traj = run(net, x0, list(schedule)) if schedule else None
             assert (traj.terminal if traj else x0) == terminal
 
+    def test_a_node_can_escape_and_rejoin_in_one_level(self):
+        # Node 0 escapes the low class, node 2 joins it, and then node 0's
+        # whole row is on the low side, so it joins again.
+        net = InfluenceNetwork.from_rows([
+            [F(0), F(2, 5), F(3, 5)],
+            [F(0), F(1), F(0)],
+            [F(0), F(3, 5), F(2, 5)],
+        ])
+        assert build_update_sequence(net, (0, 0, 1)) == ((0, 2, 0), (0, 0, 0))
+
     def test_only_full_set_maximal_forces_consensus(self):
         for n in (3, 5, 8):
             net = fixtures.complete_uniform(n)
             _, terminal = build_update_sequence(net, tuple(range(n)))
             assert len(set(terminal)) == 1
+
+
+def kernel_networks():
+    """Random networks, co-prime-denominator ones and the covering corpus."""
+    rnd = random.Random(0xE4D)
+    nets = [random_network(rnd, rnd.randint(1, 10)) for _ in range(200)]
+    nets += [random_coprime_network(rnd, rnd.randint(1, 8)) for _ in range(60)]
+    return rnd, nets + covering_corpus(0xE4E, 24)
+
+
+class TestOneExpansionKernel:
+    """Both majority expansions run on ``cohesion._expand`` and give exactly
+    what the full-rescan expansion and the two-loop sequence gave."""
+
+    def test_expansion_matches_full_rescan(self):
+        rnd, nets = kernel_networks()
+        for net in nets:
+            for _ in range(3):
+                seed = set(rnd.sample(range(net.n), rnd.randint(1, net.n)))
+                hints = [None]
+                for _ in range(3):
+                    hints.append(rnd.sample(range(net.n), net.n))
+                for hint in hints:
+                    trace = cohesive_expansion(net, seed, order_hint=hint)
+                    expected = rescan_cohesive_expansion(net, seed, hint)
+                    assert (trace.result, trace.additions) == expected
+
+    def test_sequence_matches_two_loop_version(self):
+        rnd, nets = kernel_networks()
+        grid = GridUniform(201)
+        for net in nets + [fixtures.lattice(6, 6), fixtures.complete_uniform(9)]:
+            n = net.n
+            for x0 in (
+                random_profile(rnd, n, spread=n),
+                tuple(F(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(n)),
+                grid.draw(np.random.default_rng(rnd.getrandbits(32)), n),
+            ):
+                assert build_update_sequence(net, x0) == two_loop_update_sequence(net, x0)
 
 
 class TestDecideConsensusReachable:
@@ -617,6 +673,37 @@ class TestSearchWork:
         net = fixtures.disjoint_cliques(clique_size=3, blocks=2)
         assert _distinct_profile_consensus_search(net) is False
         assert update_value_calls[0] == 822
+
+
+@pytest.fixture
+def margin_calls(monkeypatch):
+    """Counts ``_engine.margin`` calls."""
+    calls = [0]
+    orig = _engine.margin
+
+    def counted(row, inside):
+        calls[0] += 1
+        return orig(row, inside)
+
+    monkeypatch.setattr(_engine, "margin", counted)
+    return calls
+
+
+class TestExpansionWork:
+    """Exact margin counts: an expansion that rescans every node after each
+    admission keeps every output and only costs time."""
+
+    def test_build_update_sequence(self, margin_calls):
+        x0 = GridUniform(201).draw(np.random.default_rng(6), 36)
+        schedule, _ = build_update_sequence(fixtures.lattice(6, 6), x0)
+        assert len(schedule) == 27
+        assert margin_calls[0] == 1042
+
+    def test_cohesive_expansion(self, margin_calls):
+        seed = set(random.Random(10).sample(range(100), 45))
+        trace = cohesive_expansion(fixtures.lattice(10, 10), seed)
+        assert len(trace.additions) == 27
+        assert margin_calls[0] == 115
 
 
 class TestCertificates:
