@@ -31,7 +31,8 @@ def opinion_to_json(value):
 
 def opinion_from_json(raw):
     """Decode an opinion from JSON: ints stay ints, numeric-looking strings
-    ('7', '3/4', '-0.5') become ints/Fractions, other strings stay labels."""
+    ('7', '3/4', '-0.5') become ints/Fractions, other strings stay labels.
+    A zero denominator ('1/0') is rejected."""
     if isinstance(raw, bool):
         raise ValueError("booleans are not opinions")
     if isinstance(raw, int):
@@ -41,7 +42,10 @@ def opinion_from_json(raw):
         if _INTEGER_RE.match(token):
             return int(token)
         if _RATIONAL_RE.match(token):
-            return Fraction(token)
+            try:
+                return Fraction(token)
+            except ZeroDivisionError:
+                raise ValueError(f"opinion {raw!r} has a zero denominator") from None
         return raw
     raise ValueError(f"cannot decode opinion {raw!r}")
 

@@ -26,6 +26,7 @@ from .dynamics import (
     GridUniform,
     LabelUniform,
     Trajectory,
+    _draw_initial,
     default_budget,
     ensemble,
     run,
@@ -141,14 +142,12 @@ def parse_initial_spec(spec: str):
 
 
 def _resolve_initial(source, n: int, seed):
+    rng = None
     if hasattr(source, "draw"):
         if seed is None:
             raise ValueError("a random initial distribution needs --seed")
         rng = np.random.default_rng([int(seed), 0])
-        return tuple(source.draw(rng, n))
-    if len(source) != n:
-        raise ValueError(f"initial state has {len(source)} entries, network has {n} nodes")
-    return tuple(source)
+    return _draw_initial(source, rng, n)
 
 
 def _read_schedule(path) -> tuple[int, ...]:

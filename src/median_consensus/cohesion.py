@@ -75,16 +75,17 @@ class ExpansionTrace:
     additions: tuple[tuple[int, int], ...]  # (node, admission step), steps from 1
 
 
-def _expand(rows, listeners, inside, order, pos) -> list[int]:
+def _expand(net: InfluenceNetwork, inside, order, pos) -> list[int]:
     """Grow the 0/1 list ``inside`` in place; return the admitted nodes.
 
     Each admission takes the first outside node of ``order`` with a positive
     margin on the set; ``pos[j]`` is j's place in ``order``.  It raises only
-    its listeners' margins (``listeners[j][0]``, as in ``listener_weights``)
-    and no earlier node qualified, so the next scan starts at the earliest
-    of their places and the place after it.
+    its listeners' margins (``net.listener_weights``, read only once a node
+    is admitted) and no earlier node qualified, so the next scan starts at
+    the earliest of their places and the place after it.
     """
     margin = _engine.margin
+    rows = net.integer_rows
     admitted: list[int] = []
     p = 0
     while True:
@@ -93,7 +94,7 @@ def _expand(rows, listeners, inside, order, pos) -> list[int]:
             return admitted
         inside[pick] = 1
         admitted.append(pick)
-        p = min([pos[pick] + 1, *[pos[i] for i in listeners[pick][0]]])
+        p = min([pos[pick] + 1, *[pos[i] for i in net.listener_weights[pick][0]]])
 
 
 def cohesive_expansion(
@@ -117,7 +118,7 @@ def cohesive_expansion(
         # Sorting indices by a permutation's entries inverts it.
         pos = sorted(range(n), key=hint.__getitem__)
         order = sorted(range(n), key=pos.__getitem__)
-    admitted = _expand(net.integer_rows, net.listener_weights, inside, order, pos)
+    admitted = _expand(net, inside, order, pos)
     additions = tuple((node, step) for step, node in enumerate(admitted, 1))
     return ExpansionTrace(result=frozenset(i for i in range(n) if inside[i]), additions=additions)
 

@@ -9,11 +9,12 @@ to search profiles with values in {-1, 0, 1} having exactly one zero entry
 0, 1, ..., n - 1 (for consensus on an arbitrary one).  Both share one
 exhaustive, hence exponential, breadth-first search over states packed into
 ints, which caches dead states up to reversing the rank order; they refuse
-inputs beyond an explicit node bound.  The ternary search never builds a
-start state in which a cohesive pair agrees on a nonzero sign, since such a
-start provably cannot reach all-zero.  The searches and the enumeration of
-equilibria take every node update from one ``_engine.LocalRule``, whose
-per-node memo computes each local pattern once.
+inputs beyond an explicit node bound.  Agreeing members of a cohesive set
+never move, so ternary starts are the two-colourings by -1 and +1 of one
+graph joining the cohesive pairs, where a frozen node is its own partner.
+The searches and the enumeration of equilibria take every node update from
+one ``_engine.LocalRule``, whose per-node memo computes each local pattern
+once.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ def is_equilibrium_structural(net: InfluenceNetwork, x) -> bool:
     so the above-cut conditions are the below-cut ones with the sides
     swapped, and checking the below-cut set decides both.
     """
-    vals = list(x)
-    if len(vals) != net.n:
-        raise ValueError(f"state length {len(vals)} != n={net.n}")
+    vals = _validate_state(net, x)
     for cut in sorted(set(vals))[:-1]:
         if not is_maximal_cohesive(net, (i for i, v in enumerate(vals) if v <= cut)):
             return False
@@ -265,10 +264,10 @@ def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], t
         # Rows sum to the denominator, so a low node's margin on the high
         # block is minus its margin on the low block.
         high = [int(v > level) for v in state]
-        escaped = _expand(rows, net.listener_weights, high, order, order)
+        escaped = _expand(net, high, order, order)
         low = [h ^ 1 for h in high]
         # Every node escaped when the low block is empty; nothing can join it.
-        joined = _expand(rows, net.listener_weights, low, order, order) if any(low) else []
+        joined = _expand(net, low, order, order) if any(low) else []
         for picks, below in ((escaped, False), (joined, True)):
             for pick in picks:
                 state[pick] = _engine.update_value(rows, state, pick)
@@ -337,26 +336,14 @@ def verify_certificate(net: InfluenceNetwork, cert: ConsensusCertificate) -> boo
     return all(v == 0 for v in traj.terminal)
 
 
-def _frozen_nodes(net: InfluenceNetwork) -> list[int]:
-    """Nodes with self-weight >= 1/2 (a cohesive singleton): their opinion
-    can never change."""
-    return [i for i in range(net.n) if is_cohesive(net, (i,))]
+def _blocking_partners(net: InfluenceNetwork) -> list[list[int]]:
+    """Per node i, every j with {i, j} cohesive: i itself when frozen.
 
-
-def _cohesive_pairs(net: InfluenceNetwork) -> list[list[int]]:
-    """Per node, partners forming a two-node cohesive set with it.
-
-    If both members of such a pair hold the same opinion, neither ever
-    leaves it, so states where a pair agrees on a nonzero value can never
-    reach the all-zero state.
+    Agreeing members of a cohesive set never move, so no state in which a
+    node and a partner share a nonzero sign can reach all-zero.
     """
-    partners: list[list[int]] = [[] for _ in range(net.n)]
-    for a in range(net.n):
-        for b in range(a + 1, net.n):
-            if is_cohesive(net, (a, b)):
-                partners[a].append(b)
-                partners[b].append(a)
-    return partners
+    nodes = range(net.n)
+    return [[j for j in nodes if is_cohesive(net, (i, j))] for i in nodes]
 
 
 def decide_consensus_reachable(
@@ -364,16 +351,15 @@ def decide_consensus_reachable(
 ) -> tuple[bool, ConsensusCertificate | None]:
     """Can some ternary initial state with one zero entry reach all-zero?
 
-    Exhaustive seeded search: for every choice of the zero node and signs of
-    the rest, breadth-first exploration of the reachable states.  A start
-    where both members of a cohesive pair hold the same sign can never
-    reach all-zero, since neither member ever moves, so such starts are
-    never generated, and the search prunes states that reach such a pair.
-    Every start goes through ``_shortest_path`` on one ternary
-    ``_engine.LocalRule``, so node updates are memoised and states proven
-    unable to reach all-zero are cached across starts, up to flipping every
-    sign.  On success the returned certificate (initial state + shortest
-    update sequence for it) is verified by replay before being returned.
+    Exhaustive seeded search: for every choice of the zero node, breadth-
+    first exploration from each start of ``_starts``, the sign patterns in
+    which no blocking partners agree; the search also prunes states where
+    a moved node comes to agree with a partner.  Every start goes through
+    ``_shortest_path`` on one ternary ``_engine.LocalRule``, so node
+    updates are memoised and states proven unable to reach all-zero are
+    cached across starts, up to flipping every sign.  On success the
+    returned certificate (initial state + shortest update sequence for it)
+    is verified by replay before being returned.
     """
     n = net.n
     if n > bound:
@@ -381,72 +367,73 @@ def decide_consensus_reachable(
             f"n={n} exceeds the decision bound {bound}; the search is exponential -- "
             "raise `bound` explicitly to force it"
         )
-    if n == 1:
-        cert = ConsensusCertificate(initial=(0,), sequence=(), target_time=0)
-        assert verify_certificate(net, cert)
-        return True, cert
-    frozen = _frozen_nodes(net)
-    if len(frozen) >= 2:
-        # Two or more never-changing nodes, but only one may start at zero.
-        return False, None
-    zero_choices = frozen if frozen else list(range(n))
-    partners = _cohesive_pairs(net)
+    partners = _blocking_partners(net)
     # Ranks 0, 1, 2 stand for -1, 0, +1, so the sign flip is ``full - s``.
     rule = _engine.LocalRule(net.integer_rows, 3)
     goals = {rule.pack((1,) * n)}
     dead: set = set()
 
-    for z in zero_choices:
-        for y0 in _pair_consistent_starts(n, z, partners):
-            start = rule.pack([v + 1 for v in y0])
+    for z in range(n):
+        for start in _starts(rule, z, partners):
             path = _shortest_path(rule, start, goals, dead, partners)
             if path is not None:
-                cert = ConsensusCertificate(initial=y0, sequence=path, target_time=len(path))
+                initial = tuple(v - 1 for v in rule.unpack(start))
+                cert = ConsensusCertificate(initial=initial, sequence=path, target_time=len(path))
                 assert verify_certificate(net, cert)
                 return True, cert
     return False, None
 
 
-def _pair_consistent_starts(n: int, z: int, partners: list[list[int]]):
-    """Start states with zero at ``z`` where no cohesive pair agrees.
+def _starts(rule, z: int, partners: list[list[int]]):
+    """Packed ternary starts with zero at ``z`` where no partners agree.
 
-    The dynamics commute with flipping every sign, so the first non-zero
-    node is pinned to -1.  The rest take -1 before +1 in index order, and a
-    sign that an already assigned cohesive partner holds is skipped, so the
-    states come in the order of ``itertools.product`` over the signs,
-    without the blocked ones.  Cohesive pairs that form an odd cycle among
-    the non-zero nodes admit no start at all.
+    These are the two-colourings by -1 and +1 of the partner graph without
+    ``z``: two per connected component, or none if one holds an odd cycle
+    (a self-partner is one).  Components go in order of their smallest
+    node, whose sign picks the colouring, -1 first; sign flips commute with
+    the dynamics, so the first keeps only -1.  Starts thus come in
+    ``itertools.product`` order over the signs, without the blocked ones.
     """
-    others = [i for i in range(n) if i != z]
-    state = [0] * n
-    state[others[0]] = -1
-
-    def assign(k):
-        if k == len(others):
-            yield tuple(state)
-            return
-        node = others[k]
-        for sign in (-1, 1):
-            if all(state[p] != sign for p in partners[node]):
-                state[node] = sign
-                yield from assign(k + 1)
-        state[node] = 0
-
-    return assign(1)
+    shifts = rule.shifts
+    sign = {z: 0}
+    choices = []
+    for root in range(len(partners)):
+        if root in sign:
+            continue
+        sign[root] = -1
+        stack = [root]
+        low = high = 0
+        while stack:
+            i = stack.pop()
+            low += sign[i] + 1 << shifts[i]
+            high += 1 - sign[i] << shifts[i]
+            for j in partners[i]:
+                if j not in sign:
+                    sign[j] = -sign[i]
+                    stack.append(j)
+                elif sign[j] == sign[i]:
+                    return
+        choices.append((low, high) if choices else (low,))
+    base = 1 << shifts[z]
+    for picks in itertools.product(*choices):
+        yield base + sum(picks)
 
 
 def _shortest_path(rule, start, goals, dead, partners=None):
     """Shortest update sequence from packed ``start`` to a state in ``goals``.
 
     Breadth-first over the moves of ``rule`` (an ``_engine.LocalRule``),
-    expanding each state's nodes in index order; ``start`` is not a goal.
-    ``dead`` holds states that cannot reach a goal, each under the smaller
-    of it and its rank reversal ``rule.full - s`` (the dynamics and
-    ``goals`` commute with reversal); a failed search adds every state it
-    saw.  With ``partners`` (ternary states only), a successor whose updated
-    node now agrees on a nonzero sign with a cohesive partner is dead too,
-    since neither ever moves again.  Returns the node tuple or None.
+    expanding each state's nodes in index order; a start in ``goals`` gives
+    the empty sequence.  ``dead`` holds states that cannot reach a goal,
+    each under the smaller of it and its rank reversal ``rule.full - s``
+    (the dynamics and ``goals`` commute with reversal); a failed search
+    adds every state it saw.  With ``partners`` (ternary states only), a
+    successor whose updated node now agrees on a nonzero sign with a
+    blocking partner is dead too, since neither ever moves again.  Returns
+    the node tuple or None.
     """
+    if start in goals:
+        return ()
     full = rule.full
     if min(start, full - start) in dead:
         return None
@@ -509,8 +496,6 @@ def _distinct_profile_consensus_search(net: InfluenceNetwork) -> bool:
     symmetry ``_shortest_path`` caches dead states under.
     """
     n = net.n
-    if n == 1:
-        return True
     rule = _engine.LocalRule(net.integer_rows, n)
     goals = {rule.pack((v,) * n) for v in range(n)}
     dead: set = set()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import HUGE_COUNT, peak_allocation
 from median_consensus import cli, fixtures
@@ -82,8 +86,9 @@ class TestSimulate:
 
     def test_wrong_length_initial(self, complete4, capsys):
         rc = cli.main(["simulate", "--network", complete4, "--initial", "0,1", "--seed", "1"])
-        assert rc == 1
-        assert "4 nodes" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: initial state length 2 != n=4\n"
 
     def test_byte_stable_output(self, complete4, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -213,6 +218,12 @@ class TestSequenceAndReplay:
         replay = _capture(capsys)
         assert rc == 0
         assert replay["result"]["terminal"] == terminal
+
+    def test_wrong_length_initial(self, complete4, capsys):
+        rc = cli.main(["sequence", "--network", complete4, "--initial", "0,1,2"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: initial state length 3 != n=4\n"
 
 
 class TestDecideAndVerify:
@@ -347,6 +358,30 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert rc == 1 and "error:" in err and "comparable" in err
 
+    @pytest.mark.parametrize("case", ["inline", "file", "sequence", "ensemble", "verify-cert"])
+    def test_zero_denominator_opinion(self, complete4, tmp_path, capsys, case):
+        opinions = tmp_path / "opinions.json"
+        opinions.write_text(json.dumps([1, "1/0", 2]))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"initial": ["1/0", 0, 1], "sequence": [], "target_time": 0}))
+        argv = {
+            "inline": ["simulate", "--initial", "1/0,1,2", "--seed", "1"],
+            "file": ["simulate", "--initial", f"file:{opinions}", "--seed", "1"],
+            "sequence": ["sequence", "--initial", "1/0,1,2"],
+            "ensemble": ["ensemble", "--initial", "1/0,1,2", "--replicas", "2", "--seed", "1"],
+            "verify-cert": ["verify-cert", "--cert", str(cert)],
+        }[case]
+        rc = cli.main([*argv, "--network", complete4])
+        captured = capsys.readouterr()
+        if case == "verify-cert":
+            # A malformed certificate is answered like any other: not valid.
+            result = json.loads(captured.out)["result"]
+            assert rc == 5 and captured.err == ""
+            assert result["valid"] is False and "zero denominator" in result["reason"]
+        else:
+            assert rc == 1 and captured.out == ""
+            assert captured.err == "error: opinion '1/0' has a zero denominator\n"
+
     @pytest.mark.parametrize("sequence", [[1.5, 2], ["2"], [True], {"sequence": [2.0]}])
     def test_non_integer_schedule_nodes(self, complete4, tmp_path, capsys, sequence):
         sched = tmp_path / "sched.json"
@@ -424,3 +459,62 @@ class TestErrorPaths:
         rc = cli.main(["--version"])
         out = capsys.readouterr().out
         assert rc == 0 and "median-consensus" in out
+
+
+# -- fuzzed inputs --------------------------------------------------------------
+
+_tokens = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 3)),
+    st.sampled_from(["a", "b", "", " 1 ", "0.5", "-0.25", "1/", "/2", "true", "[1]", "1e3"]),
+    st.text(max_size=4),
+)
+_scalars = st.one_of(
+    st.integers(-3, 6), st.integers(), _tokens, st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(["initial", "sequence", "target_time", "x"]), inner, max_size=3
+    ),
+    max_leaves=8,
+)
+_initial_specs = st.one_of(
+    st.lists(_tokens, min_size=2, max_size=5).map(",".join),
+    st.builds("labels:{}".format, st.integers(-2, 10**20)),
+    st.builds("grid:{}".format, st.integers(-2, 10**20)),
+    st.text(max_size=8),
+)
+
+
+class TestFuzzedInputs:
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["simulate", "schedule", "sequence", "ensemble", "verify-cert"]),
+        spec=_initial_specs,
+        from_file=st.booleans(),
+        payload=_json_values,
+        budget=st.none() | st.integers(-1, 3),
+    )
+    def test_cli_never_tracebacks(self, complete4, tmp_path, command, spec, from_file,
+                                  payload, budget):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(payload))
+        initial = f"file:{data}" if from_file else spec
+        seed = ["--seed", "2"]
+        extra = [] if budget is None else ["--budget", str(budget)]
+        argv = {
+            "simulate": ["simulate", "--initial", initial, *seed, *extra],
+            "schedule": ["simulate", "--initial", spec, "--schedule", str(data)],
+            "sequence": ["sequence", "--initial", initial, *seed],
+            "ensemble": ["ensemble", "--initial", initial, "--replicas", "2", *seed,
+                         "--workers", "1", *extra],
+            "verify-cert": ["verify-cert", "--cert", str(data)],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main([*argv, "--network", complete4])
+        assert rc in {0, 1, 3, 4, 5}

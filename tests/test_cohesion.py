@@ -149,6 +149,14 @@ class TestExpansion:
         if is_cohesive(net, members):
             assert is_maximal_cohesive(net, result)
 
+    def test_listener_lists_built_only_after_an_admission(self):
+        net = fixtures.lattice(40, 40)
+        assert cohesive_expansion(net, {820}).additions == ()
+        assert "listener_weights" not in net.__dict__
+        # The corner listens to itself and its two neighbours, a 2/3 majority.
+        assert cohesive_expansion(net, {1, 40}).additions[0] == (0, 1)
+        assert "listener_weights" in net.__dict__
+
     def test_bad_order_hint(self):
         net = fixtures.complete_uniform(3)
         with pytest.raises(ValueError):

@@ -41,11 +41,10 @@ from median_consensus import (
     verify_certificate,
 )
 from median_consensus.equilibria import (
-    _cohesive_pairs,
+    _blocking_partners,
     _distinct_profile_consensus_search,
-    _frozen_nodes,
-    _pair_consistent_starts,
     _shortest_path,
+    _starts,
 )
 from median_consensus.median import closest_weighted_median
 
@@ -123,20 +122,18 @@ class TestStructuralCharacterization:
 
 
 class TestIntegerThresholdsMatchFractionOracle:
-    def test_frozen_nodes(self):
-        for _, net in differential_networks(0xF202, 40):
-            assert _frozen_nodes(net) == [i for i in range(net.n) if net.weight(i, i) >= HALF]
-
-    def test_cohesive_pairs(self):
-        def holds(a, b):
-            return net.weight(a, a) + net.weight(a, b) >= HALF
-
-        for _, net in differential_networks(0xCA1, 40):
+    def test_blocking_partners(self):
+        selves = pairs = 0
+        for _, net in chain(differential_networks(0xF202, 40), differential_networks(0xCA1, 40)):
+            frozen = oracle_frozen_nodes(net)
             expected = [
-                [b for b in range(net.n) if b != a and holds(a, b) and holds(b, a)]
-                for a in range(net.n)
+                sorted([a] * (a in frozen) + others)
+                for a, others in enumerate(oracle_cohesive_pairs(net))
             ]
-            assert _cohesive_pairs(net) == expected
+            assert _blocking_partners(net) == expected
+            selves += len(frozen)
+            pairs += sum(map(len, expected)) - len(frozen)
+        assert selves > 10 and pairs > 10
 
     def test_structural_on_random_states(self):
         for rnd, net in differential_networks(0x57A7, 80):
@@ -455,6 +452,22 @@ def product_equilibria(net, opinion_values):
     ]
 
 
+def oracle_frozen_nodes(net):
+    """Nodes with self-weight at least 1/2, from the Fraction weights."""
+    return [i for i in range(net.n) if net.weight(i, i) >= HALF]
+
+
+def oracle_cohesive_pairs(net):
+    """Per node, the other nodes b with {a, b} cohesive, from the Fraction
+    weights."""
+    def holds(a, b):
+        return net.weight(a, a) + net.weight(a, b) >= HALF
+
+    return [
+        [b for b in range(net.n) if b != a and holds(a, b) and holds(b, a)]
+        for a in range(net.n)
+    ]
+
 
 def _pair_blocked(state, node, partners):
     v = state[node]
@@ -548,6 +561,9 @@ def product_sign_tuples(n, z):
     """Every start with zero at ``z`` and the first non-zero node at -1, in
     ``itertools.product`` order over the other signs."""
     others = [i for i in range(n) if i != z]
+    if not others:
+        yield (0,)
+        return
     for signs in product((-1, 1), repeat=len(others) - 1):
         y0 = [0] * n
         y0[others[0]] = -1
@@ -556,10 +572,13 @@ def product_sign_tuples(n, z):
         yield tuple(y0)
 
 
-def product_starts(n, z, partners):
-    """``product_sign_tuples`` without the starts where a cohesive pair agrees."""
+def product_starts(n, z, frozen, partners):
+    """``product_sign_tuples`` without the starts where a frozen node is
+    non-zero or a cohesive pair agrees."""
     for y0 in product_sign_tuples(n, z):
-        if not any(_pair_blocked(y0, i, partners) for i in range(n)):
+        if not any(y0[f] for f in frozen) and not any(
+            _pair_blocked(y0, i, partners) for i in range(n)
+        ):
             yield y0
 
 
@@ -569,10 +588,10 @@ def product_decide(net):
     n = net.n
     if n == 1:
         return True, ConsensusCertificate(initial=(0,), sequence=(), target_time=0)
-    frozen = _frozen_nodes(net)
+    frozen = oracle_frozen_nodes(net)
     if len(frozen) >= 2:
         return False, None
-    partners = _cohesive_pairs(net)
+    partners = oracle_cohesive_pairs(net)
     target = (0,) * n
     dead = set()
     for z in frozen or range(n):
@@ -593,20 +612,51 @@ def gadget_networks():
     return [build_svc_graph(inst).network for inst in reduction_corpus()]
 
 
+def frozen_and_cycle_networks():
+    """One frozen node in a cohesive pair, two frozen nodes, and an odd
+    cycle of cohesive pairs beside a free pair."""
+    h, q, t = F(1, 2), F(1, 4), F(1, 3)
+    return [
+        InfluenceNetwork.from_rows([[h, h, 0, 0], [q, q, q, q], [t, t, 0, t], [t, t, t, 0]]),
+        InfluenceNetwork.from_rows([[1, 0, 0, 0], [t, t, 0, t], [0, 0, h, h], [q, q, q, q]]),
+        InfluenceNetwork.from_rows(
+            [[t, t, t, 0, 0], [t, t, t, 0, 0], [t, t, t, 0, 0], [0, q, 0, q, h],
+             [q, 0, 0, h, q]]
+        ),
+    ]
+
+
 class TestPairConsistentStarts:
     def test_same_starts_in_the_same_order_as_product(self):
         rnd = random.Random(0x57A7)
         nets = []
         while len(nets) < 60:
             net = random_network(rnd, rnd.randint(2, 9))
-            if any(_cohesive_pairs(net)):
+            if any(oracle_cohesive_pairs(net)):
                 nets.append(net)
         nets += gadget_networks()
+        nets += frozen_and_cycle_networks()
+        nets += [fixtures.self_loop_nodes(1), fixtures.self_loop_nodes(3)]
         for net in nets:
-            partners = _cohesive_pairs(net)
+            frozen, pairs = oracle_frozen_nodes(net), oracle_cohesive_pairs(net)
+            rule = _engine.LocalRule(net.integer_rows, 3)
+            partners = _blocking_partners(net)
             for z in range(net.n):
-                expected = list(product_starts(net.n, z, partners))
-                assert list(_pair_consistent_starts(net.n, z, partners)) == expected
+                expected = list(product_starts(net.n, z, frozen, pairs))
+                starts = [tuple(v - 1 for v in rule.unpack(s)) for s in _starts(rule, z, partners)]
+                assert starts == expected
+
+    def test_frozen_and_cycle_networks(self):
+        # One frozen node allows starts only with the zero on it; two allow
+        # none; an odd cycle of pairs needs the zero on the cycle.
+        counts = []
+        for net in frozen_and_cycle_networks():
+            rule = _engine.LocalRule(net.integer_rows, 3)
+            partners = _blocking_partners(net)
+            counts.append([len(list(_starts(rule, z, partners))) for z in range(net.n)])
+        assert counts[0] == [4, 0, 0, 0]
+        assert counts[1] == [0] * 4
+        assert counts[2] == [2, 2, 2, 0, 0]
 
     def test_decide_matches_product_search(self):
         rnd = random.Random(0xDEC1DE)
@@ -628,10 +678,13 @@ class TestPairConsistentStarts:
         net = InfluenceNetwork.from_rows(
             [[t, t, t, 0], [t, t, t, 0], [t, t, t, 0], [0, 0, 0, 1]]
         )
-        partners = _cohesive_pairs(net)
-        assert partners[:3] == [[1, 2], [0, 2], [0, 1]]
-        assert list(_pair_consistent_starts(4, 3, partners)) == []
-        assert len(list(_pair_consistent_starts(4, 0, partners))) == 2
+        partners = _blocking_partners(net)
+        assert partners == [[1, 2], [0, 2], [0, 1], [3]]
+        rule = _engine.LocalRule(net.integer_rows, 3)
+        assert list(_starts(rule, 3, partners)) == []
+        # With the zero on the cycle, the frozen node 3 blocks every start.
+        assert list(_starts(rule, 0, partners)) == []
+        assert decide_consensus_reachable(net) == (False, None)
         assert decide_consensus_reachable(net) == (False, None)
 
 
