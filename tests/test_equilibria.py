@@ -122,18 +122,26 @@ class TestStructuralCharacterization:
 
 
 class TestIntegerThresholdsMatchFractionOracle:
-    def test_blocking_partners(self):
-        selves = pairs = 0
-        for _, net in chain(differential_networks(0xF202, 40), differential_networks(0xCA1, 40)):
-            frozen = oracle_frozen_nodes(net)
-            expected = [
-                sorted([a] * (a in frozen) + others)
-                for a, others in enumerate(oracle_cohesive_pairs(net))
-            ]
-            assert _blocking_partners(net) == expected
-            selves += len(frozen)
-            pairs += sum(map(len, expected)) - len(frozen)
-        assert selves > 10 and pairs > 10
+    # A node's own entry in _blocking_partners marks it frozen; its other
+    # entries are its cohesive partners.  Each half is checked against its
+    # Fraction oracle over both corpora.
+    def test_frozen_nodes(self):
+        frozen = 0
+        for _, net in oracle_corpus():
+            expected = oracle_frozen_nodes(net)
+            partners = _blocking_partners(net)
+            assert [i for i in range(net.n) if i in partners[i]] == expected
+            frozen += len(expected)
+        assert frozen > 10
+
+    def test_cohesive_pairs(self):
+        pairs = 0
+        for _, net in oracle_corpus():
+            expected = oracle_cohesive_pairs(net)
+            partners = _blocking_partners(net)
+            assert [[j for j in row if j != i] for i, row in enumerate(partners)] == expected
+            pairs += sum(map(len, expected))
+        assert pairs > 10
 
     def test_structural_on_random_states(self):
         for rnd, net in differential_networks(0x57A7, 80):
@@ -450,6 +458,11 @@ def product_equilibria(net, opinion_values):
         for state in product(range(len(labels)), repeat=net.n)
         if next(successors(rows, state), None) is None
     ]
+
+
+def oracle_corpus():
+    """The networks on which _blocking_partners is held to its oracles."""
+    return chain(differential_networks(0xF202, 40), differential_networks(0xCA1, 40))
 
 
 def oracle_frozen_nodes(net):
