@@ -2,11 +2,13 @@
 
 Opinion order is all that matters to the update rule, so states are encoded
 as small ints (ranks) and each row's weights are pre-cleared to integers
-over a common denominator.  This module owns all half-threshold arithmetic:
-the median update and the majority margin of a row on a node set both
-compare integer masses against the denominator.  Dynamics, cohesion and
-equilibria call these functions instead of computing with Fractions;
-``median.py`` is the readable reference.
+over a common denominator.  Every half-threshold test compares an integer
+mass with its row's denominator, never a Fraction with 1/2.  This module
+holds the median update and the majority margin of a row on a node set
+(``margin``).  The cut search and the value sweep in ``cohesion`` make the
+same comparison on masses they keep per node, so a test there is one
+integer comparison rather than a call; ``median.py`` is the readable
+reference.
 
 A median is read off a mass table ``{rank: integer mass}``: the lower
 median is the first rank, in order, whose cumulative mass reaches half

@@ -9,6 +9,16 @@ cohesive seed it is the smallest maximal cohesive superset.  ``_expand``
 does every expansion, the two per value class in ``build_update_sequence``
 too, and after an admission rescans from the first node it affected.
 
+Rows sum to exactly 1, so M is maximal cohesive iff M and its complement
+are both cohesive: every node keeps at least half its weight on its own
+side of the cut.  The enumeration of maximal cohesive sets and the
+structural equilibrium test check that on listener masses: each node
+placed on a side adds its weight to its listeners' mass on that side
+(``net.listener_weights``), and a node is unsettled when its mass across
+the cut passes half its denominator.  ``_settled_cuts`` searches cuts depth
+first and prunes at the first unsettled placed node; ``_class_cuts_settled``
+sweeps the cuts between value classes in one pass.
+
 Maximal cohesive sets are exactly the blocks that can hold an opinion
 forever: once all members agree, no member ever leaves and no strict
 majority ever forms outside pressure into the set.
@@ -46,15 +56,6 @@ def _indicator(net: InfluenceNetwork, members: Iterable[int]) -> list[int]:
     return inside
 
 
-def _settled(rows, inside) -> bool:
-    """Members keep at least half inside and outsiders put at most half in."""
-    for row, member in zip(rows, inside):
-        m = _engine.margin(row, inside)
-        if (m < 0) if member else (m > 0):
-            return False
-    return True
-
-
 def is_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
     """Every member keeps weight >= 1/2 inside the set."""
     inside = _indicator(net, members)
@@ -64,7 +65,12 @@ def is_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
 
 def is_maximal_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
     """Cohesive, and no outside node has weight > 1/2 into the set."""
-    return _settled(net.integer_rows, _indicator(net, members))
+    inside = _indicator(net, members)
+    for row, member in zip(net.integer_rows, inside):
+        m = _engine.margin(row, inside)
+        if (m < 0) if member else (m > 0):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,67 @@ def cohesive_expansion(
     return ExpansionTrace(result=frozenset(i for i in range(n) if inside[i]), additions=additions)
 
 
+def _settled_cuts(net: InfluenceNetwork):
+    """Yield every 0/1 side list, node 0 on side 1, that settles each node.
+
+    A node is settled when it puts at most half its weight across the cut.
+    A depth-first search places nodes 0..n-1 in turn and adds each placed
+    node's weight to its listeners' mass on its side (``listener_weights``).
+    Masses only grow, so a placement that leaves some placed node with more
+    than half its weight across the cut is refused with all its completions.
+    The search is a loop whose stack is ``side[:j]``, the sides of the
+    placed nodes, so ``n`` is not tied to the recursion limit.  The yielded
+    list is reused; copy it to keep it.
+    """
+    n = net.n
+    listeners = net.listener_weights
+    denom = [row[2] for row in net.integer_rows]
+    mass = ([0] * n, [0] * n)  # mass[s][i]: i's weight on placed nodes of side s
+    side = [1] * n
+    j, s = 0, 1  # next placement: node j on side s
+    while True:
+        nodes, ws = listeners[j]
+        own = mass[s]
+        if 2 * mass[1 - s][j] <= denom[j] and all(
+            i >= j or side[i] == s or 2 * (own[i] + w) <= denom[i] for i, w in zip(nodes, ws)
+        ):
+            side[j] = s
+            for i, w in zip(nodes, ws):
+                own[i] += w
+            j, s = j + 1, 1
+            if j < n:
+                continue
+            yield side
+        elif s and j:
+            s = 0
+            continue
+        # Undo placements back to the last node on side 1; it moves to side 0.
+        while True:
+            j -= 1
+            if j <= 0:
+                return
+            nodes, ws = listeners[j]
+            own = mass[side[j]]
+            for i, w in zip(nodes, ws):
+                own[i] -= w
+            if side[j]:
+                s = 0
+                break
+
+
 def enumerate_maximal_cohesive_sets(
     net: InfluenceNetwork, *, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> list[frozenset]:
-    """All maximal cohesive sets, by exhaustive subset check.
+    """All maximal cohesive sets, by a depth-first search over cuts.
 
-    Refuses networks larger than ``bound`` nodes (the check is exponential).
-    The full node set always qualifies, so the result is never empty.
-    Sets are returned in a deterministic order (by size, then members).
+    Rows sum to exactly 1, so S is maximal cohesive iff every node keeps at
+    least half its weight on its own side of the cut (S, V minus S); the
+    condition is symmetric, so each settled cut with node 0 in S also gives
+    its complement when that is non-empty.  ``_settled_cuts`` finds them.
+    Refuses networks larger than ``bound`` nodes (the search is exponential
+    in the worst case).  The full node set always qualifies, so the result
+    is never empty.  Sets are returned in a deterministic order (by size,
+    then members).
     """
     n = net.n
     if n > bound:
@@ -138,16 +197,48 @@ def enumerate_maximal_cohesive_sets(
             f"n={n} exceeds the enumeration bound {bound}; "
             "raise `bound` explicitly to force the exhaustive check"
         )
-    # Gray-code order: each step flips one node's membership.
-    rows = net.integer_rows
-    inside = [0] * n
     found = []
-    for k in range(1, 1 << n):
-        inside[(k & -k).bit_length() - 1] ^= 1
-        if _settled(rows, inside):
-            found.append(frozenset(i for i in range(n) if inside[i]))
+    for side in _settled_cuts(net):
+        found.append(frozenset(i for i in range(n) if side[i]))
+        if not all(side):
+            found.append(frozenset(i for i in range(n) if not side[i]))
     found.sort(key=lambda s: (len(s), sorted(s)))
     return found
+
+
+def _class_cuts_settled(net: InfluenceNetwork, classes) -> bool:
+    """Does every cut between consecutive ``classes`` settle each node?
+
+    ``classes`` partitions the nodes in value order.  A sweep moves one
+    class at a time below the cut and adds each member's weight to its
+    listeners' below-cut mass, then re-flags the members and the listeners
+    it touched: a node is unsettled when more than half its weight lies
+    across the cut.  One count of flagged nodes decides each cut, so the
+    sweep reads every row once however many cuts there are.
+    """
+    n = net.n
+    listeners = net.listener_weights
+    denom = [row[2] for row in net.integer_rows]
+    below = [0] * n  # weight of i's row on nodes below the cut
+    inside = [False] * n
+    unsettled = [False] * n
+    count = 0
+    for members in classes[:-1]:
+        touched = list(members)
+        for j in members:
+            inside[j] = True
+            nodes, ws = listeners[j]
+            for i, w in zip(nodes, ws):
+                below[i] += w
+            touched += nodes
+        for i in touched:
+            m = 2 * below[i] - denom[i]
+            flag = m < 0 if inside[i] else m > 0
+            count += flag - unsettled[i]
+            unsettled[i] = flag
+        if count:
+            return False
+    return True
 
 
 def has_nontrivial_maximal_cohesive_set(

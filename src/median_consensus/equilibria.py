@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from . import _engine
 from .cohesion import (
     DEFAULT_ENUMERATION_BOUND,
+    _class_cuts_settled,
     _expand,
     has_nontrivial_maximal_cohesive_set,
     is_cohesive,
-    is_maximal_cohesive,
 )
 from .dynamics import RandomSchedule, _validate_state, default_budget, is_equilibrium, run
 from .network import (
@@ -64,14 +64,15 @@ def is_equilibrium_structural(net: InfluenceNetwork, x) -> bool:
     True iff the state is a consensus or, for every way of cutting the
     value axis between two adjacent occurring values, the below-cut and
     above-cut node sets are each maximal cohesive.  Rows sum to exactly 1,
-    so the above-cut conditions are the below-cut ones with the sides
-    swapped, and checking the below-cut set decides both.
+    so that holds iff every node keeps at least half its weight on its own
+    side of each cut, which one sweep up the value classes checks
+    (``cohesion._class_cuts_settled``).
     """
-    vals = _validate_state(net, x)
-    for cut in sorted(set(vals))[:-1]:
-        if not is_maximal_cohesive(net, (i for i, v in enumerate(vals) if v <= cut)):
-            return False
-    return True
+    state, table = _engine.encode_profile(_validate_state(net, x))
+    classes: list[list[int]] = [[] for _ in table]
+    for i, v in enumerate(state):
+        classes[v].append(i)
+    return _class_cuts_settled(net, classes)
 
 
 def enumerate_equilibria(

@@ -381,6 +381,16 @@ def _subset_sums(weights: Sequence[int]) -> set[int]:
     return sums
 
 
+def _pair_hit(left, right: Sequence[int], lo: int, hi: int) -> bool:
+    """Is ``a + b`` in [lo, hi] for some ``a`` in ``left`` and ``b`` in the
+    sorted ``right``?  One bisection per ``a``."""
+    for a in left:
+        k = bisect_left(right, lo - a)
+        if k < len(right) and right[k] <= hi - a:
+            return True
+    return False
+
+
 def _achievable_range_hit(weights: Sequence[int], denom: int, lo: int, hi: int) -> bool:
     """Is some subset sum of ``weights`` inside the integer range [lo, hi]?
 
@@ -399,19 +409,18 @@ def _achievable_range_hit(weights: Sequence[int], denom: int, lo: int, hi: int) 
         span = reach >> lo
         mask = (1 << (hi - lo + 1)) - 1
         return bool(span & mask)
-    if len(weights) <= _ENUM_DEGREE_LIMIT:
-        half = len(weights) // 2
-        right = sorted(_subset_sums(weights[half:]))
-        for a in _subset_sums(weights[:half]):
-            k = bisect_left(right, lo - a)
-            if k < len(right) and right[k] <= hi - a:
-                return True
-        return False
-    raise ValueError(
-        "decisiveness check too large: row denominator exceeds the bitset limit "
-        f"and {len(weights)} co-neighbors exceed the meet-in-the-middle limit "
-        f"{_ENUM_DEGREE_LIMIT}"
-    )
+    _check_co_neighbors(len(weights))
+    half = len(weights) // 2
+    return _pair_hit(_subset_sums(weights[:half]), sorted(_subset_sums(weights[half:])), lo, hi)
+
+
+def _check_co_neighbors(count: int) -> None:
+    if count > _ENUM_DEGREE_LIMIT:
+        raise ValueError(
+            "decisiveness check too large: row denominator exceeds the bitset limit "
+            f"and {count} co-neighbors exceed the meet-in-the-middle limit "
+            f"{_ENUM_DEGREE_LIMIT}"
+        )
 
 
 def is_decisive(net: InfluenceNetwork, i: int, j: int) -> bool:
@@ -436,6 +445,29 @@ def is_decisive(net: InfluenceNetwork, i: int, j: int) -> bool:
     if lo < 0:
         lo = 0
     return _achievable_range_hit(others, denom, lo, hi)
+
+
+def _decisive_row_split(wints: Sequence[int], denom: int) -> list[bool]:
+    """``is_decisive`` for every entry of one row past the bitset limit.
+
+    The row is split into two halves once, and each half's subset sums are
+    built and sorted once.  Entry k meets in the middle between the sums of
+    its own half without k and the shared sorted sums of the other half, so
+    a row costs two shared sortings rather than one per entry.
+    """
+    _check_co_neighbors(len(wints) - 1)
+    half = len(wints) // 2
+    halves = (wints[:half], wints[half:])
+    shared = [sorted(_subset_sums(h)) for h in halves]
+    out = []
+    for k, wk in enumerate(wints):
+        own = k >= half
+        rest = list(halves[own])
+        del rest[k - half if own else k]
+        # The range of is_decisive: 1/2 - w_ik < s < 1/2 over sums s/denom.
+        lo, hi = max((denom - 2 * wk) // 2 + 1, 0), (denom - 1) // 2
+        out.append(lo <= hi and _pair_hit(_subset_sums(rest), shared[not own], lo, hi))
+    return out
 
 
 def has_half_ties(net: InfluenceNetwork) -> bool:
@@ -472,15 +504,27 @@ class DecisiveSubgraph:
         )
 
 
+def _decisive_edges(net: InfluenceNetwork):
+    """Yield every decisive link (i, j), row by row.
+
+    Rows up to the bitset limit ask ``is_decisive`` per edge.  Larger rows
+    share each half's sorted subset sums across their edges
+    (``_decisive_row_split``).
+    """
+    for i, (nbrs, wints, denom) in enumerate(net.integer_rows):
+        if denom <= _BITSET_DENOM_LIMIT:
+            for j in nbrs:
+                if is_decisive(net, i, j):
+                    yield i, j
+        else:
+            for j, flag in zip(nbrs, _decisive_row_split(wints, denom)):
+                if flag:
+                    yield i, j
+
+
 def decisive_subgraph(net: InfluenceNetwork) -> DecisiveSubgraph:
     """Classify every edge of the network as decisive or not."""
-    kept = frozenset(
-        (i, j)
-        for i, (nbrs, _, _) in enumerate(net.integer_rows)
-        for j in nbrs
-        if is_decisive(net, i, j)
-    )
-    return DecisiveSubgraph(network=net, edges=kept)
+    return DecisiveSubgraph(network=net, edges=frozenset(_decisive_edges(net)))
 
 
 def _reach(adj: Sequence[Sequence[int]], start: int, seen: list[bool]) -> int:

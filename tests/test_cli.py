@@ -167,6 +167,19 @@ class TestAnalyze:
         assert result["decisive_edges"] == [[1, n]] + [[i, i] for i in range(2, n + 1)]
         assert result["indecisive_edges"] == [[1, j] for j in range(1, n)]
 
+    def test_raised_bound_on_a_deep_chain(self, tmp_path, capsys):
+        # Node 1 listens to itself and node i to node i - 1: only the full
+        # set is maximal cohesive, found without a call per node.
+        n = 1500
+        edges = [[1, 1, "1"]] + [[i, i - 1, "1"] for i in range(2, n + 1)]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        rc = cli.main(["analyze", "--network", str(path), "--bound", str(n)])
+        result = _capture(capsys)["result"]
+        assert rc == 0
+        assert result["maximal_cohesive_sets"] == [list(range(1, n + 1))]
+        assert result["nontrivial_maximal_cohesive"] is False
+
     def test_bound_degrades_gracefully(self, cliques, capsys):
         rc = cli.main(["analyze", "--network", cliques, "--bound", "3"])
         payload = _capture(capsys)

@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from conftest import random_coprime_network, random_network
 from median_consensus import (
     InfluenceNetwork,
+    RandomSchedule,
     _engine,
     cohesive_expansion,
     enumerate_maximal_cohesive_sets,
     fixtures,
     has_nontrivial_maximal_cohesive_set,
     is_cohesive,
+    is_equilibrium_structural,
     is_maximal_cohesive,
+    run,
 )
 
 
@@ -62,6 +65,58 @@ def oracle_expansion(net, seed):
             return frozenset(current), tuple(additions)
         current.add(min(qualifiers))
         additions.append((min(qualifiers), len(additions) + 1))
+
+
+def oracle_structural(net, x):
+    """Every cut of the value axis leaves a maximal cohesive set below it,
+    checked cut by cut with the Fraction oracle."""
+    vals = list(x)
+    return all(
+        oracle_maximal(net, {i for i, v in enumerate(vals) if v <= cut})
+        for cut in sorted(set(vals))[:-1]
+    )
+
+
+def chain_network(n):
+    """Node 0 listens only to itself and node i only to node i - 1."""
+    return InfluenceNetwork.from_edges(n, [(0, 0, 1)] + [(i, i - 1, 1) for i in range(1, n)])
+
+
+_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def oracle_networks(draw, max_n=8):
+    """Networks with up to ``max_n`` nodes whose rows are drawn from three
+    kinds: small denominators, two halves of exactly 1/2 each, or weights
+    over distinct primes.  Supports may include the node itself."""
+    n = draw(st.integers(1, max_n))
+    dense = []
+    for _ in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        k = len(support)
+        kind = draw(st.sampled_from(("small", "half", "coprime"))) if k > 1 else "small"
+        if kind == "small":
+            parts = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+            weights = [F(p, sum(parts)) for p in parts]
+        elif kind == "half":
+            split = draw(st.integers(1, k - 1))
+            parts = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+            low, high = sum(parts[:split]), sum(parts[split:])
+            weights = [F(p, 2 * low) for p in parts[:split]] + [F(p, 2 * high) for p in parts[split:]]
+        else:
+            primes = draw(st.permutations(_PRIMES))[: k - 1]
+            weights = [F(draw(st.integers(1, max(1, p // k))), p) for p in primes]
+            weights.append(1 - sum(weights, F(0)))
+        row = [F(0)] * n
+        for j, w in zip(support, weights):
+            row[j] = w
+        dense.append(row)
+    return InfluenceNetwork.from_rows(dense)
+
+
+# Repeated values, and floats equal to Fractions, put several nodes in a class.
+_OPINIONS = st.sampled_from((0, 1, 2, -1, F(1, 2), 0.5, F(3, 2), 1.5, 2.25))
 
 
 def differential_networks(seed, count):
@@ -211,12 +266,56 @@ class TestEnumeration:
             net = random_network(rnd, rnd.randint(1, 6))
             assert enumerate_maximal_cohesive_sets(net) == oracle_maximal_sets(net)
 
+    def test_deep_chain_needs_no_recursion(self):
+        # Every node but 0 follows its predecessor, so only the full set
+        # settles; the search places 1,500 nodes without a call per level.
+        net = chain_network(1500)
+        assert enumerate_maximal_cohesive_sets(net, bound=1500) == [frozenset(range(1500))]
+
     def test_nontrivial_wrapper(self):
         assert has_nontrivial_maximal_cohesive_set(fixtures.complete_uniform(4)) == (False, None)
         found, witness = has_nontrivial_maximal_cohesive_set(
             fixtures.disjoint_cliques(clique_size=3, blocks=2)
         )
         assert found and len(witness) == 3
+
+
+class TestListenerMassKernelsMatchFractionOracle:
+    """The cut search and the value sweep against the Fraction definitions."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_networks())
+    def test_enumeration(self, net):
+        assert enumerate_maximal_cohesive_sets(net) == oracle_maximal_sets(net)
+
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_networks())
+    def test_nontrivial_witness_is_the_first_proper_set(self, net):
+        proper = [s for s in oracle_maximal_sets(net) if len(s) < net.n]
+        expected = (True, proper[0]) if proper else (False, None)
+        assert has_nontrivial_maximal_cohesive_set(net) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_networks(), st.data())
+    def test_structural_equilibrium(self, net, data):
+        x = data.draw(st.lists(_OPINIONS, min_size=net.n, max_size=net.n))
+        seed = data.draw(st.integers(0, 99))
+        terminal = run(net, x, RandomSchedule(seed=seed)).terminal
+        for state in (x, terminal):
+            assert is_equilibrium_structural(net, state) == oracle_structural(net, state)
+
+    def test_structural_verdicts_of_both_kinds(self):
+        equilibria = non_equilibria = 0
+        for rnd, net in differential_networks(0x5EE9, 60):
+            x = [rnd.choice((0, 1, F(1, 2), 0.5, 1.5)) for _ in range(net.n)]
+            terminal = run(net, x, RandomSchedule(seed=rnd.randrange(99))).terminal
+            for state in (x, terminal):
+                verdict = is_equilibrium_structural(net, state)
+                assert verdict == oracle_structural(net, state)
+                if len(set(state)) > 1:
+                    equilibria += verdict
+                    non_equilibria += not verdict
+        assert equilibria > 10 and non_equilibria > 10
 
 
 class TestIntegerThresholdsMatchFractionOracle:

@@ -34,6 +34,7 @@ from median_consensus import (
     consensus_reachability_cross_check,
     decide_consensus_reachable,
     enumerate_equilibria,
+    enumerate_maximal_cohesive_sets,
     fixtures,
     is_equilibrium,
     is_equilibrium_structural,
@@ -770,6 +771,58 @@ class TestExpansionWork:
         trace = cohesive_expansion(fixtures.lattice(10, 10), seed)
         assert len(trace.additions) == 27
         assert margin_calls[0] == 115
+
+
+class _CountedReads(tuple):
+    """A tuple that counts its subscriptions."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def counted_listener_rows(net):
+    """Swap ``net.listener_weights`` for a counting copy and return it."""
+    rows = _CountedReads(net.listener_weights)
+    net.__dict__["listener_weights"] = rows
+    return rows
+
+
+class TestCohesionWork:
+    """Exact work counts of the listener-mass kernels: one ``listener_weights``
+    row read per placement or undo of the cut search, and none of the margin
+    rescans they replace.  A search that checks cuts only once every node is
+    placed finds the same sets and reads far more rows."""
+
+    def test_enumerate_lattice(self, margin_calls):
+        net = fixtures.lattice(4, 4)
+        rows = counted_listener_rows(net)
+        assert len(enumerate_maximal_cohesive_sets(net)) == 3157
+        assert rows.reads == 12409
+        assert margin_calls[0] == 0
+
+    def test_enumerate_complete(self, margin_calls):
+        net = fixtures.complete_uniform(12)
+        rows = counted_listener_rows(net)
+        assert enumerate_maximal_cohesive_sets(net) == [frozenset(range(12))]
+        assert rows.reads == 1402
+        assert margin_calls[0] == 0
+
+    def test_structural_sweep(self, margin_calls):
+        net = fixtures.lattice(6, 6)
+        x0 = GridUniform(201).draw(np.random.default_rng(6), 36)
+        _, terminal = build_update_sequence(net, x0)
+        margin_calls[0] = 0
+        rows = counted_listener_rows(net)
+        # Ten value classes: the sweep moves the 32 nodes below the top one.
+        assert len(set(terminal)) == 10 and is_equilibrium_structural(net, terminal)
+        assert rows.reads == 32
+        # The initial state fails at its first cut, after one row read.
+        assert not is_equilibrium_structural(net, x0)
+        assert rows.reads == 33
+        assert margin_calls[0] == 0
 
 
 class TestCertificates:

@@ -338,15 +338,37 @@ class TestFormats:
 
 
 def oracle_decisive(net, i, j):
-    """Brute-force subset enumeration straight from the definition."""
-    others = [w for t, w in net.rows[i] if t != j]
+    """Every distinct subset sum of i's other weights, as Fractions, straight
+    from the definition."""
     wij = net.weight(i, j)
     half = F(1, 2)
-    for combo in chain.from_iterable(combinations(others, k) for k in range(len(others) + 1)):
-        s = sum(combo, F(0))
-        if s < half < s + wij:
-            return True
-    return False
+    sums = {F(0)}
+    for t, w in net.rows[i]:
+        if t != j:
+            sums |= {s + w for s in sums}
+    return any(s < half < s + wij for s in sums)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def _prime_row(rnd, size):
+    """``size`` weights over a prime above 2^22: ``size - 1`` of them are
+    multiples g*m of one unit with m in {1, 2, 700}, so their subset sums
+    are few and sparse, and the remainder goes to the last.  Where half
+    falls among those sums is random, so some links are decisive and some
+    are not.  Returns the weights, shuffled, and the prime."""
+    m = [rnd.choice((1, 2, 700)) for _ in range(size - 1)]
+    total = sum(m)
+    gap = rnd.randrange(total // 2)
+    g = (1 << 22) // (2 * (total - gap)) + 1
+    p = 2 * g * (total - gap) + 1
+    while not _is_prime(p):
+        p += 2
+    weights = [F(g * x, p) for x in m] + [F(p - g * total, p)]
+    rnd.shuffle(weights)
+    return weights, p
 
 
 def oracle_half_ties(net):
@@ -423,6 +445,39 @@ class TestDecisiveLinks:
         with pytest.raises(ValueError, match="41 co-neighbors exceed the meet-in-the-middle limit 40"):
             is_decisive(net, 0, 41)
 
+    def test_shared_halves_on_wide_prime_rows_match_oracle(self):
+        # Rows 0..3 hold 20 to 23 weights over primes above 2^22, so
+        # decisive_subgraph shares each half's sums across the row's edges.
+        rnd = random.Random(0x5A7E)
+        n = 24
+        edges = []
+        for i, size in enumerate((20, 21, 22, 23)):
+            weights, p = _prime_row(rnd, size)
+            assert p > network._BITSET_DENOM_LIMIT
+            edges += [(i, j, w) for j, w in zip(rnd.sample(range(n), size), weights)]
+        edges += [(i, i, 1) for i in range(4, n)]
+        net = InfluenceNetwork.from_edges(n, edges)
+        got = decisive_subgraph(net).edges
+        expected = {(i, j) for i, j, _w in net.edges() if oracle_decisive(net, i, j)}
+        assert got == expected
+        assert all(is_decisive(net, i, j) == ((i, j) in got) for i, j, _w in net.edges())
+        wide = [(i, j) for i, j, _w in net.edges() if i < 4]
+        decisive = sum(e in got for e in wide)
+        assert 10 < decisive < len(wide) - 10
+
+    def test_shared_halves_match_per_edge_meet_in_the_middle(self):
+        # Unstructured weights over a prime: each row's shared-halves answer
+        # against is_decisive, which builds both halves for every edge.
+        rnd = random.Random(0xD1CE)
+        p = 8388617
+        for size in (2, 3, 20, 25, 26):
+            cuts = sorted(rnd.sample(range(1, p), size - 1))
+            weights = [F(b - a, p) for a, b in zip([0, *cuts], [*cuts, p])]
+            edges = [(0, j, w) for j, w in enumerate(weights)]
+            net = InfluenceNetwork.from_edges(size, edges + [(i, i, 1) for i in range(1, size)])
+            got = decisive_subgraph(net).edges
+            assert got == {(i, j) for i, j, _w in net.edges() if is_decisive(net, i, j)}
+
     def test_meet_in_the_middle_matches_bitset_and_oracle(self, monkeypatch):
         rnd = random.Random(0x3177)
         nets = [random_network(rnd, rnd.randint(1, 8), max_den=rnd.choice((8, 20, 40)))
@@ -435,6 +490,7 @@ class TestDecisiveLinks:
         for net, (decisive, ties) in zip(nets, expected):
             for (i, j), flag in decisive.items():
                 assert is_decisive(net, i, j) == flag == oracle_decisive(net, i, j)
+            assert decisive_subgraph(net).edges == {e for e, flag in decisive.items() if flag}
             assert has_half_ties(net) == ties == oracle_half_ties(net)
 
     def test_subgraph_partition(self):
