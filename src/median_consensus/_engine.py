@@ -5,10 +5,9 @@ as small ints (ranks) and each row's weights are pre-cleared to integers
 over a common denominator.  Every half-threshold test compares an integer
 mass with its row's denominator, never a Fraction with 1/2.  This module
 holds the median update and the majority margin of a row on a node set
-(``margin``).  The cut search and the value sweep in ``cohesion`` make the
-same comparison on masses they keep per node, so a test there is one
-integer comparison rather than a call; ``median.py`` is the readable
-reference.
+(``margin``), which only sets up a set's margins: ``is_cohesive`` reads
+them, and ``cohesion`` shifts them as nodes move.  ``median.py`` is the
+readable reference.
 
 A median is read off a mass table ``{rank: integer mass}``: the lower
 median is the first rank, in order, whose cumulative mass reaches half

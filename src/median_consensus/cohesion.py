@@ -5,19 +5,18 @@ its weight inside M, and *maximal cohesive* when additionally no outside
 node places strictly more than half of its weight into M.  The *expansion*
 of a set repeatedly admits any outside node with strict-majority weight on
 the current set; the result is independent of admission order, and for a
-cohesive seed it is the smallest maximal cohesive superset.  ``_expand``
-does every expansion, the two per value class in ``build_update_sequence``
-too, and after an admission rescans from the first node it affected.
+cohesive seed it is the smallest maximal cohesive superset.
 
 Rows sum to exactly 1, so M is maximal cohesive iff M and its complement
 are both cohesive: every node keeps at least half its weight on its own
-side of the cut.  The enumeration of maximal cohesive sets and the
-structural equilibrium test check that on listener masses: each node
-placed on a side adds its weight to its listeners' mass on that side
-(``net.listener_weights``), and a node is unsettled when its mass across
-the cut passes half its denominator.  ``_settled_cuts`` searches cuts depth
-first and prunes at the first unsettled placed node; ``_class_cuts_settled``
-sweeps the cuts between value classes in one pass.
+side of the cut.  A cut is a 0/1 ``side`` list plus per-node margins
+``2 * (weight on side 1) - denom``, and ``_move`` puts a node on a side and
+shifts its listeners' margins (``net.listener_weights``).  On that pair
+``_expand`` runs every expansion, both per value class in
+``build_update_sequence`` too, and ``_class_cuts_settled`` sweeps the cuts
+between value classes.  The cut search ``_settled_cuts`` keeps a mass per
+side, as its unplaced nodes are on neither, and prunes at the first placed
+node with more than half its weight across the cut.
 
 Maximal cohesive sets are exactly the blocks that can hold an opinion
 forever: once all members agree, no member ever leaves and no strict
@@ -27,6 +26,7 @@ majority ever forms outside pressure into the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from . import _engine
@@ -66,11 +66,7 @@ def is_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
 def is_maximal_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
     """Cohesive, and no outside node has weight > 1/2 into the set."""
     inside = _indicator(net, members)
-    for row, member in zip(net.integer_rows, inside):
-        m = _engine.margin(row, inside)
-        if (m < 0) if member else (m > 0):
-            return False
-    return True
+    return _class_cuts_settled(net, [[i for i in range(net.n) if inside[i]], ()])
 
 
 @dataclass(frozen=True)
@@ -81,26 +77,36 @@ class ExpansionTrace:
     additions: tuple[tuple[int, int], ...]  # (node, admission step), steps from 1
 
 
-def _expand(net: InfluenceNetwork, inside, order, pos) -> list[int]:
-    """Grow the 0/1 list ``inside`` in place; return the admitted nodes.
+def _move(net: InfluenceNetwork, side, margin, j: int, s: int):
+    """Move node j from side 1 - s to s; return its ``listener_weights`` row."""
+    side[j] = s
+    nodes, ws = row = net.listener_weights[j]
+    d = 2 if s else -2
+    for i, w in zip(nodes, ws):
+        margin[i] += d * w
+    return row
 
-    Each admission takes the first outside node of ``order`` with a positive
-    margin on the set; ``pos[j]`` is j's place in ``order``.  It raises only
-    its listeners' margins (``net.listener_weights``, read only once a node
-    is admitted) and no earlier node qualified, so the next scan starts at
-    the earliest of their places and the place after it.
+
+def _expand(net: InfluenceNetwork, side, margin, s: int, order, pos) -> list[int]:
+    """Move nodes with a strict majority on side s there; return them in order.
+
+    A node qualifies by margin > 0 for s = 1 and < 0 for s = 0, and stays a
+    qualifier, as moves only raise majorities on side s.  Each move takes
+    the qualifier first in ``order`` (``pos[j]`` is j's place) off a heap of
+    places and pushes the listeners it carries past zero.  With no move,
+    ``net.listener_weights`` is never built.
     """
-    margin = _engine.margin
-    rows = net.integer_rows
-    admitted: list[int] = []
-    p = 0
-    while True:
-        pick = next((j for j in order[p:] if not inside[j] and margin(rows[j], inside) > 0), None)
-        if pick is None:
-            return admitted
-        inside[pick] = 1
-        admitted.append(pick)
-        p = min([pos[pick] + 1, *[pos[i] for i in net.listener_weights[pick][0]]])
+    sign = 1 if s else -1
+    # Places taken in order are ascending, so the list is already a heap.
+    heap = [pos[i] for i in order if side[i] != s and sign * margin[i] > 0]
+    moved: list[int] = []
+    while heap:
+        j = order[heappop(heap)]
+        moved.append(j)
+        for i, w in zip(*_move(net, side, margin, j, s)):
+            if side[i] != s and 0 < sign * margin[i] <= 2 * w:
+                heappush(heap, pos[i])
+    return moved
 
 
 def cohesive_expansion(
@@ -124,7 +130,8 @@ def cohesive_expansion(
         # Sorting indices by a permutation's entries inverts it.
         pos = sorted(range(n), key=hint.__getitem__)
         order = sorted(range(n), key=pos.__getitem__)
-    admitted = _expand(net, inside, order, pos)
+    margin = [_engine.margin(row, inside) for row in net.integer_rows]
+    admitted = _expand(net, inside, margin, 1, order, pos)
     additions = tuple((node, step) for step, node in enumerate(admitted, 1))
     return ExpansionTrace(result=frozenset(i for i in range(n) if inside[i]), additions=additions)
 
@@ -210,30 +217,22 @@ def _class_cuts_settled(net: InfluenceNetwork, classes) -> bool:
     """Does every cut between consecutive ``classes`` settle each node?
 
     ``classes`` partitions the nodes in value order.  A sweep moves one
-    class at a time below the cut and adds each member's weight to its
-    listeners' below-cut mass, then re-flags the members and the listeners
-    it touched: a node is unsettled when more than half its weight lies
-    across the cut.  One count of flagged nodes decides each cut, so the
-    sweep reads every row once however many cuts there are.
+    class at a time from side 1 to side 0 (``_move``) and re-flags the nodes
+    it touched, unsettled when a margin puts more than half the weight
+    across the cut.  One count of flagged nodes decides each cut, so every
+    row is read once however many cuts there are.
     """
     n = net.n
-    listeners = net.listener_weights
-    denom = [row[2] for row in net.integer_rows]
-    below = [0] * n  # weight of i's row on nodes below the cut
-    inside = [False] * n
+    side = [1] * n
+    margin = [row[2] for row in net.integer_rows]
     unsettled = [False] * n
     count = 0
     for members in classes[:-1]:
         touched = list(members)
         for j in members:
-            inside[j] = True
-            nodes, ws = listeners[j]
-            for i, w in zip(nodes, ws):
-                below[i] += w
-            touched += nodes
+            touched += _move(net, side, margin, j, 0)[0]
         for i in touched:
-            m = 2 * below[i] - denom[i]
-            flag = m < 0 if inside[i] else m > 0
+            flag = margin[i] < 0 if side[i] else margin[i] > 0
             count += flag - unsettled[i]
             unsettled[i] = flag
         if count:

@@ -27,6 +27,7 @@ from .cohesion import (
     DEFAULT_ENUMERATION_BOUND,
     _class_cuts_settled,
     _expand,
+    _move,
     has_nontrivial_maximal_cohesive_set,
     is_cohesive,
 )
@@ -246,11 +247,12 @@ def classify(
 def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], tuple]:
     """A deterministic update sequence from ``x0`` to an equilibrium.
 
-    Processes the occurring values from lowest to highest with two cohesive
-    expansions per value class: of the block above it, whose admitted class
-    members leave the class when updated, then of the low block left
-    behind, whose admitted nodes join it.  Both admit the lowest-index
-    qualifier first, so the schedule is deterministic.
+    Processes the occurring values from lowest to highest, carrying one cut
+    (``cohesion._move``): side 0 holds the nodes at or below the current
+    value.  Each level moves its class to side 0, then runs two cohesive
+    expansions: to side 1, whose moved nodes leave the low block when
+    updated, then back to side 0, whose moved nodes join it.  Both take the
+    lowest-index qualifier first, so the schedule is deterministic.
 
     Returns ``(schedule, terminal)``.  The terminal state is verified to be
     an equilibrium by replaying the schedule; failure raises RuntimeError.
@@ -259,16 +261,16 @@ def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], t
     state, table = _engine.encode_profile(vals)
     rows = net.integer_rows
     order = range(net.n)
+    side = [1] * net.n
+    margin = [row[2] for row in rows]
     schedule: list[int] = []
 
     for level in range(len(table) - 1):
-        # Rows sum to the denominator, so a low node's margin on the high
-        # block is minus its margin on the low block.
-        high = [int(v > level) for v in state]
-        escaped = _expand(net, high, order, order)
-        low = [h ^ 1 for h in high]
-        # Every node escaped when the low block is empty; nothing can join it.
-        joined = _expand(net, low, order, order) if any(low) else []
+        for j in order:
+            if state[j] == level:
+                _move(net, side, margin, j, 0)
+        escaped = _expand(net, side, margin, 1, order, order)
+        joined = _expand(net, side, margin, 0, order, order)
         for picks, below in ((escaped, False), (joined, True)):
             for pick in picks:
                 state[pick] = _engine.update_value(rows, state, pick)

@@ -336,6 +336,11 @@ class TestIntegerThresholdsMatchFractionOracle:
                 s = {i for i in range(net.n) if mask >> i & 1}
                 assert is_cohesive(net, s) == oracle_cohesive(net, s)
                 assert is_maximal_cohesive(net, s) == oracle_maximal(net, s)
+                # The cut sweep and the heap expansion, both on ``_move``.
+                expansion = cohesive_expansion(net, s)
+                assert is_maximal_cohesive(net, s) == (
+                    is_cohesive(net, s) and expansion.additions == ()
+                )
 
     def test_expansion(self):
         for rnd, net in differential_networks(0xE4A, 60):

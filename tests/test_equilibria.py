@@ -373,10 +373,10 @@ class TestOneExpansionKernel:
 
     def test_expansion_matches_full_rescan(self):
         rnd, nets = kernel_networks()
-        for net in nets:
+        for net in nets + [fixtures.self_loop_nodes(1), fixtures.self_loop_nodes(4)]:
             for _ in range(3):
                 seed = set(rnd.sample(range(net.n), rnd.randint(1, net.n)))
-                hints = [None]
+                hints = [None, list(reversed(range(net.n)))]
                 for _ in range(3):
                     hints.append(rnd.sample(range(net.n), net.n))
                 for hint in hints:
@@ -387,14 +387,22 @@ class TestOneExpansionKernel:
     def test_sequence_matches_two_loop_version(self):
         rnd, nets = kernel_networks()
         grid = GridUniform(201)
-        for net in nets + [fixtures.lattice(6, 6), fixtures.complete_uniform(9)]:
+        extra = [fixtures.lattice(6, 6), fixtures.complete_uniform(9)]
+        extra += [fixtures.self_loop_nodes(1), fixtures.self_loop_nodes(4)]
+        for net in nets + extra:
             n = net.n
             for x0 in (
                 random_profile(rnd, n, spread=n),
                 tuple(F(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(n)),
                 grid.draw(np.random.default_rng(rnd.getrandbits(32)), n),
+                (F(0),) * n,  # a consensus: no levels
             ):
                 assert build_update_sequence(net, x0) == two_loop_update_sequence(net, x0)
+        # Node 0 escapes at level 0 and leaves the low block empty; node 2
+        # joins at level 1.
+        net, x0 = fixtures.complete_uniform(3), (0, 1, 2)
+        expected = ((0, 2), (1, 1, 1))
+        assert build_update_sequence(net, x0) == two_loop_update_sequence(net, x0) == expected
 
 
 class TestDecideConsensusReachable:
@@ -756,23 +764,6 @@ def margin_calls(monkeypatch):
     return calls
 
 
-class TestExpansionWork:
-    """Exact margin counts: an expansion that rescans every node after each
-    admission keeps every output and only costs time."""
-
-    def test_build_update_sequence(self, margin_calls):
-        x0 = GridUniform(201).draw(np.random.default_rng(6), 36)
-        schedule, _ = build_update_sequence(fixtures.lattice(6, 6), x0)
-        assert len(schedule) == 27
-        assert margin_calls[0] == 1042
-
-    def test_cohesive_expansion(self, margin_calls):
-        seed = set(random.Random(10).sample(range(100), 45))
-        trace = cohesive_expansion(fixtures.lattice(10, 10), seed)
-        assert len(trace.additions) == 27
-        assert margin_calls[0] == 115
-
-
 class _CountedReads(tuple):
     """A tuple that counts its subscriptions."""
 
@@ -788,6 +779,34 @@ def counted_listener_rows(net):
     rows = _CountedReads(net.listener_weights)
     net.__dict__["listener_weights"] = rows
     return rows
+
+
+class TestExpansionWork:
+    """Exact work counts of the carried cut: each move reads one
+    ``listener_weights`` row, and no expansion recomputes a margin from the
+    rows.  An expansion that rescans every node after each move keeps every
+    output and only costs time."""
+
+    def test_build_update_sequence(self, margin_calls):
+        net = fixtures.lattice(6, 6)
+        rows = counted_listener_rows(net)
+        x0 = GridUniform(201).draw(np.random.default_rng(6), 36)
+        schedule, _ = build_update_sequence(net, x0)
+        assert len(schedule) == 27
+        # 72 nodes moved below the cut with their level's class, and the 27
+        # scheduled ones.
+        assert rows.reads == 99
+        assert margin_calls[0] == 0
+
+    def test_cohesive_expansion(self, margin_calls):
+        net = fixtures.lattice(10, 10)
+        rows = counted_listener_rows(net)
+        seed = set(random.Random(10).sample(range(100), 45))
+        trace = cohesive_expansion(net, seed)
+        assert len(trace.additions) == 27
+        # One margin per node to start, then one row per admission.
+        assert margin_calls[0] == 100
+        assert rows.reads == 27
 
 
 class TestCohesionWork:
