@@ -2,7 +2,7 @@
 
 The update rule, the strict-majority (cohesion) structure that freezes
 opinion blocks, equilibrium recognition and enumeration, consensus
-reachability searches, and the NAE3SAT gadget showing the reachability
+reachability search, and the NAE3SAT gadget showing the reachability
 question is NP-hard.  All threshold arithmetic is exact rational.
 """
 
@@ -55,7 +55,6 @@ from .equilibria import (
     ConsensusCertificate,
     build_update_sequence,
     classify,
-    consensus_reachability_cross_check,
     decide_consensus_reachable,
     enumerate_equilibria,
     is_equilibrium_structural,
@@ -122,7 +121,6 @@ __all__ = [
     "build_update_sequence",
     "decide_consensus_reachable",
     "verify_certificate",
-    "consensus_reachability_cross_check",
     "Nae3SatInstance",
     "SvcGraph",
     "parse_instance",

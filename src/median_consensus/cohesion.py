@@ -30,6 +30,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from . import _engine
+from ._io import is_json_int
 from .network import InfluenceNetwork
 
 __all__ = [
@@ -48,7 +49,7 @@ def _indicator(net: InfluenceNetwork, members: Iterable[int]) -> list[int]:
     """Validated per-node 0/1 membership list of a non-empty node set."""
     inside = [0] * net.n
     for i in members:
-        if not isinstance(i, int) or not 0 <= i < net.n:
+        if not (is_json_int(i) and 0 <= i < net.n):
             raise ValueError(f"node {i!r} out of range for n={net.n}")
         inside[i] = 1
     if not any(inside):
@@ -125,7 +126,7 @@ def cohesive_expansion(
     order = pos = range(n)
     if order_hint is not None:
         hint = list(order_hint)
-        if sorted(hint) != list(pos):
+        if not all(map(is_json_int, hint)) or sorted(hint) != list(pos):
             raise ValueError("order_hint must be a permutation of all node indices")
         # Sorting indices by a permutation's entries inverts it.
         pos = sorted(range(n), key=hint.__getitem__)

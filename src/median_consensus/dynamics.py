@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine
+from ._io import is_json_int
 from .network import InfluenceNetwork
 
 __all__ = [
@@ -120,7 +121,7 @@ def _validate_state(net: InfluenceNetwork, x: Sequence) -> list:
 def step(net: InfluenceNetwork, x: Sequence, i: int) -> tuple:
     """Apply one update at node i; returns the new state."""
     vals = _validate_state(net, x)
-    if not 0 <= i < net.n:
+    if not (is_json_int(i) and 0 <= i < net.n):
         raise ValueError(f"node {i} out of range")
     state, table = _engine.encode_profile(vals)
     new = _engine.update_value(net.integer_rows, state, i)

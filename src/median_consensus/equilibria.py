@@ -4,16 +4,15 @@ A state is an equilibrium exactly when it is a consensus or when every
 threshold cut through its values splits the nodes into two maximal cohesive
 sets.  Whether a network can reach consensus at all reduces to a finite
 search: only the ordering of the initial opinions matters, so it is enough
-to search profiles with values in {-1, 0, 1} having exactly one zero entry
-(for consensus on a designated opinion) or permutations of the ranks
-0, 1, ..., n - 1 (for consensus on an arbitrary one).  Both share one
-exhaustive, hence exponential, breadth-first search over states packed into
-ints, which caches dead states up to reversing the rank order; they refuse
-inputs beyond an explicit node bound.  Agreeing members of a cohesive set
-never move, so ternary starts are the two-colourings by -1 and +1 of one
-graph joining the cohesive pairs, where a frozen node is its own partner.
-The searches and the enumeration of equilibria take every node update from
-one ``_engine.LocalRule``, whose per-node memo computes each local pattern
+to search profiles with values in {-1, 0, 1} having exactly one zero entry,
+for consensus on the zero.  That search is an exhaustive, hence
+exponential, breadth-first search over states packed into ints, which
+caches dead states up to flipping every sign; it refuses inputs beyond an
+explicit node bound.  Agreeing members of a cohesive set never move, so
+ternary starts are the two-colourings by -1 and +1 of one graph joining
+the cohesive pairs, where a frozen node is its own partner.  The search
+and the enumeration of equilibria take every node update from one
+``_engine.LocalRule``, whose per-node memo computes each local pattern
 once.
 """
 
@@ -49,7 +48,6 @@ __all__ = [
     "build_update_sequence",
     "decide_consensus_reachable",
     "verify_certificate",
-    "consensus_reachability_cross_check",
 ]
 
 DEFAULT_DECISION_BOUND = 12
@@ -361,8 +359,8 @@ def decide_consensus_reachable(
     ``_shortest_path`` on one ternary ``_engine.LocalRule``, so node
     updates are memoised and states proven unable to reach all-zero are
     cached across starts, up to flipping every sign.  On success the
-    returned certificate (initial state + shortest update sequence for it)
-    is verified by replay before being returned.
+    certificate (initial state + shortest update sequence for it) is
+    replayed before it is returned; a failed replay raises RuntimeError.
     """
     n = net.n
     if n > bound:
@@ -373,16 +371,17 @@ def decide_consensus_reachable(
     partners = _blocking_partners(net)
     # Ranks 0, 1, 2 stand for -1, 0, +1, so the sign flip is ``full - s``.
     rule = _engine.LocalRule(net.integer_rows, 3)
-    goals = {rule.pack((1,) * n)}
+    goal = rule.pack((1,) * n)
     dead: set = set()
 
     for z in range(n):
         for start in _starts(rule, z, partners):
-            path = _shortest_path(rule, start, goals, dead, partners)
+            path = _shortest_path(rule, start, goal, dead, partners)
             if path is not None:
                 initial = tuple(v - 1 for v in rule.unpack(start))
                 cert = ConsensusCertificate(initial=initial, sequence=path, target_time=len(path))
-                assert verify_certificate(net, cert)
+                if not verify_certificate(net, cert):
+                    raise RuntimeError("consensus certificate failed replay verification")
                 return True, cert
     return False, None
 
@@ -422,20 +421,20 @@ def _starts(rule, z: int, partners: list[list[int]]):
         yield base + sum(picks)
 
 
-def _shortest_path(rule, start, goals, dead, partners=None):
-    """Shortest update sequence from packed ``start`` to a state in ``goals``.
+def _shortest_path(rule, start, goal, dead, partners):
+    """Shortest update sequence from packed ternary ``start`` to ``goal``.
 
-    Breadth-first over the moves of ``rule`` (an ``_engine.LocalRule``),
-    expanding each state's nodes in index order; a start in ``goals`` gives
-    the empty sequence.  ``dead`` holds states that cannot reach a goal,
-    each under the smaller of it and its rank reversal ``rule.full - s``
-    (the dynamics and ``goals`` commute with reversal); a failed search
-    adds every state it saw.  With ``partners`` (ternary states only), a
-    successor whose updated node now agrees on a nonzero sign with a
-    blocking partner is dead too, since neither ever moves again.  Returns
-    the node tuple or None.
+    Breadth-first over the moves of ``rule`` (an ``_engine.LocalRule`` on
+    ranks 0, 1, 2 for -1, 0, +1), expanding each state's nodes in index
+    order; a start equal to ``goal`` gives the empty sequence.  ``dead``
+    holds states that cannot reach the goal, each under the smaller of it
+    and its sign flip ``rule.full - s`` (the dynamics and the all-zero goal
+    commute with flipping every sign); a failed search adds every state it
+    saw.  A successor whose updated node now agrees on a nonzero sign with
+    one of its blocking ``partners`` is dead too, since neither ever moves
+    again.  Returns the node tuple or None.
     """
-    if start in goals:
+    if start == goal:
         return ()
     full = rule.full
     if min(start, full - start) in dead:
@@ -471,12 +470,11 @@ def _shortest_path(rule, start, goals, dead, partners=None):
                     canon = s2
                 if canon in dead:
                     continue
-                if (partners is not None and new != 1
-                        and new in [s2 >> shifts[p] & field for p in partners[i]]):
+                if new != 1 and new in [s2 >> shifts[p] & field for p in partners[i]]:
                     dead.add(canon)
                     continue
                 parents[s2] = (s, i)
-                if s2 in goals:
+                if s2 == goal:
                     path = []
                     while parents[s2] is not None:
                         s2, i = parents[s2]
@@ -486,38 +484,3 @@ def _shortest_path(rule, start, goals, dead, partners=None):
         frontier = nxt
     dead.update(min(s, full - s) for s in parents)
     return None
-
-
-# -- cross-check of the two reachability formulations -----------------------------
-
-
-def _distinct_profile_consensus_search(net: InfluenceNetwork) -> bool:
-    """Can some all-distinct initial profile reach consensus on any value?
-
-    Only the opinion ordering matters, so initial profiles are searched as
-    permutations of the ranks ``range(n)``; reversing the order is the
-    symmetry ``_shortest_path`` caches dead states under.
-    """
-    n = net.n
-    rule = _engine.LocalRule(net.integer_rows, n)
-    goals = {rule.pack((v,) * n) for v in range(n)}
-    dead: set = set()
-    return any(
-        _shortest_path(rule, rule.pack(y0), goals, dead) is not None
-        for y0 in itertools.permutations(range(n))
-    )
-
-
-def consensus_reachability_cross_check(net: InfluenceNetwork, *, bound: int = 6) -> bool:
-    """Run the two consensus-reachability formulations; do they agree?
-
-    One searches all-distinct rank profiles and accepts consensus on
-    any value; the other searches one-zero ternary profiles and accepts only
-    the all-zero state.  They share the breadth-first search but not their
-    starts or goals, and must always return the same verdict.
-    """
-    if net.n > bound:
-        raise ValueError(f"n={net.n} exceeds the cross-check bound {bound}")
-    via_ranks = _distinct_profile_consensus_search(net)
-    via_ternary, _ = decide_consensus_reachable(net, bound=max(bound, net.n))
-    return via_ranks == via_ternary

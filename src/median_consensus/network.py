@@ -432,15 +432,19 @@ def is_decisive(net: InfluenceNetwork, i: int, j: int) -> bool:
     2^22 are searched meet-in-the-middle, which raises ``ValueError`` when i
     has more than 40 other neighbors.
     """
-    if not (0 <= i < net.n and 0 <= j < net.n):
+    if not (is_json_int(i) and is_json_int(j) and 0 <= i < net.n and 0 <= j < net.n):
         raise ValueError(f"nodes ({i}, {j}) out of range")
     nbrs, wints, denom = net.integer_rows[i]
     if j not in nbrs:
         raise ValueError(f"({i}, {j}) is not an edge of the network")
-    wj = wints[nbrs.index(j)]
-    others = [w for k, w in zip(nbrs, wints) if k != j]
-    # Integer form of  1/2 - w_ij < s < 1/2  over sums s/denom.
-    lo = (denom - 2 * wj) // 2 + 1
+    return _entry_decisive(wints, denom, nbrs.index(j))
+
+
+def _entry_decisive(wints: Sequence[int], denom: int, k: int) -> bool:
+    """``is_decisive`` for entry k of a row of integer weights over ``denom``."""
+    others = [*wints[:k], *wints[k + 1 :]]
+    # Integer form of  1/2 - w_k < s < 1/2  over sums s/denom.
+    lo = (denom - 2 * wints[k]) // 2 + 1
     hi = (denom - 1) // 2
     if lo < 0:
         lo = 0
@@ -507,14 +511,14 @@ class DecisiveSubgraph:
 def _decisive_edges(net: InfluenceNetwork):
     """Yield every decisive link (i, j), row by row.
 
-    Rows up to the bitset limit ask ``is_decisive`` per edge.  Larger rows
+    Rows up to the bitset limit ask ``_entry_decisive`` per edge.  Larger rows
     share each half's sorted subset sums across their edges
     (``_decisive_row_split``).
     """
     for i, (nbrs, wints, denom) in enumerate(net.integer_rows):
         if denom <= _BITSET_DENOM_LIMIT:
-            for j in nbrs:
-                if is_decisive(net, i, j):
+            for k, j in enumerate(nbrs):
+                if _entry_decisive(wints, denom, k):
                     yield i, j
         else:
             for j, flag in zip(nbrs, _decisive_row_split(wints, denom)):

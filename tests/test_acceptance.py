@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from conftest import network_corpus, random_network, random_weights, reduction_corpus
+from search_oracles import distinct_profile_search
 from median_consensus import (
     GridUniform,
     LabelUniform,
@@ -23,7 +24,7 @@ from median_consensus import (
     build_svc_graph,
     certificate_from_assignment,
     cohesive_expansion,
-    consensus_reachability_cross_check,
+    decide_consensus_reachable,
     enumerate_equilibria,
     enumerate_maximal_cohesive_sets,
     ensemble,
@@ -267,7 +268,7 @@ def test_09_reachability_searches_agree():
     agreements = 0
     for _ in range(20):
         net = random_network(rnd, rnd.randint(2, 6))
-        if consensus_reachability_cross_check(net, bound=6):
+        if distinct_profile_search(net) == decide_consensus_reachable(net, bound=net.n)[0]:
             agreements += 1
     elapsed = time.perf_counter() - started
     ok = agreements == 20

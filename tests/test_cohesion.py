@@ -149,8 +149,11 @@ class TestDefinitions:
 
     def test_out_of_range_member(self):
         net = fixtures.complete_uniform(3)
-        with pytest.raises(ValueError):
-            is_cohesive(net, {0, 5})
+        for members in ({0, 5}, [True, 2], [1.0]):
+            with pytest.raises(ValueError, match="out of range"):
+                is_cohesive(net, members)
+            with pytest.raises(ValueError, match="out of range"):
+                cohesive_expansion(net, members)
 
     def test_clique_pair_is_cohesive_but_not_maximal(self):
         # inside one 3-clique (no self-loops) a pair holds exactly 1/2 per
@@ -214,8 +217,9 @@ class TestExpansion:
 
     def test_bad_order_hint(self):
         net = fixtures.complete_uniform(3)
-        with pytest.raises(ValueError):
-            cohesive_expansion(net, {0}, order_hint=[0, 1])
+        for hint in ([0, 1], [True, 0, 2], [0, 1.0, 2]):
+            with pytest.raises(ValueError, match="permutation"):
+                cohesive_expansion(net, {0}, order_hint=hint)
 
 
 class TestEnumeration:

@@ -98,8 +98,9 @@ class TestStep:
             assert step(net, x, i)[i] == expected
 
     def test_invalid_node(self):
-        with pytest.raises(ValueError):
-            step(fixtures.complete_uniform(3), (0, 1, 2), 3)
+        for i in (3, True, 1.0):
+            with pytest.raises(ValueError, match="out of range"):
+                step(fixtures.complete_uniform(3), (0, 1, 2), i)
 
 
 class TestEquilibrium:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
-from itertools import chain, permutations, product
+from itertools import chain, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from conftest import (
     reduction_corpus,
 )
 from expansion_oracles import rescan_cohesive_expansion, two_loop_update_sequence
+from search_oracles import distinct_profile_search, successors
 from median_consensus import (
     ConsensusCertificate,
     GridUniform,
@@ -31,10 +36,10 @@ from median_consensus import (
     build_update_sequence,
     classify,
     cohesive_expansion,
-    consensus_reachability_cross_check,
     decide_consensus_reachable,
     enumerate_equilibria,
     enumerate_maximal_cohesive_sets,
+    equilibria,
     fixtures,
     is_equilibrium,
     is_equilibrium_structural,
@@ -43,7 +48,6 @@ from median_consensus import (
 )
 from median_consensus.equilibria import (
     _blocking_partners,
-    _distinct_profile_consensus_search,
     _shortest_path,
     _starts,
 )
@@ -154,20 +158,23 @@ class TestIntegerThresholdsMatchFractionOracle:
                 assert is_equilibrium(net, state) == expected
 
     def test_successors_match_median_oracle(self):
-        # Fill every node's memo by searching from a random profile, over its
-        # own ranks and over ternary ranks, then check each entry: its key
-        # holds the node's and its row's ranks, and those decide the median.
+        # Fill every node's memo from a random profile, by a walk over its
+        # own ranks and by the decide search over ternary ranks, then check
+        # each entry: its key holds the node's and its row's ranks, and
+        # those decide the median.
         checked = 0
         for rnd, net in chain(
             differential_networks(0x5CC, 40), covering_networks(0x5CD, 12)
         ):
-            x = random_profile(rnd, net.n)
-            state, table = _engine.encode_profile(x)
+            state, table = _engine.encode_profile(random_profile(rnd, net.n))
             ternary = [rnd.randint(0, 2) for _ in range(net.n)]
-            for levels, start in ((len(table), state), (3, ternary)):
-                rule = _engine.LocalRule(net.integer_rows, levels)
-                goals = {rule.pack((v,) * net.n) for v in range(levels)}
-                _shortest_path(rule, rule.pack(start), goals, set())
+            walked = _engine.LocalRule(net.integer_rows, len(table))
+            fill_memos(walked, walked.pack(state))
+            searched = _engine.LocalRule(net.integer_rows, 3)
+            goal = searched.pack((1,) * net.n)
+            partners = _blocking_partners(net)
+            _shortest_path(searched, searched.pack(ternary), goal, set(), partners)
+            for levels, rule in ((len(table), walked), (3, searched)):
                 for i, _, _, memo in rule.nodes:
                     covers_all = {i, *net.out_neighbors(i)} == set(range(net.n))
                     assert (memo is None) == (covers_all or levels == 1)
@@ -177,6 +184,25 @@ class TestIntegerThresholdsMatchFractionOracle:
                         assert new == closest_weighted_median(ranks, weights, ranks[i])
                         checked += 1
         assert checked > 500
+
+
+def fill_memos(rule, start):
+    """Visit every state reachable from packed ``start``, storing each
+    node's update in its memo under the state's masked key, as
+    ``enumerate_equilibria`` does."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        s = frontier.pop()
+        state = rule.unpack(s)
+        for i, sh, mask, memo in rule.nodes:
+            new = _engine.update_value(rule.rows, state, i)
+            if memo is not None:
+                memo[s & mask] = new
+            s2 = s + (new - state[i] << sh)
+            if s2 not in seen:
+                seen.add(s2)
+                frontier.append(s2)
 
 
 class TestEnumerateEquilibria:
@@ -428,6 +454,26 @@ class TestDecideConsensusReachable:
         with pytest.raises(ValueError, match="bound"):
             decide_consensus_reachable(fixtures.complete_uniform(13), bound=12)
 
+    def test_failed_replay_raises_without_asserts(self):
+        # ``python -O`` strips asserts, so a child run under it with the
+        # replay patched to fail shows the check does not rest on one.
+        code = (
+            "from median_consensus import equilibria, fixtures\n"
+            "equilibria.verify_certificate = lambda net, cert: False\n"
+            "try:\n"
+            "    equilibria.decide_consensus_reachable(fixtures.complete_uniform(3))\n"
+            "except RuntimeError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        src = str(Path(equilibria.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False consensus certificate failed replay verification\n"
+
     def test_certificates_are_shortest_nontrivial(self):
         # every certificate replays, and no strict prefix already reaches
         # the all-zero state
@@ -447,15 +493,6 @@ class TestDecideConsensusReachable:
 
 
 # -- oracles: frozen copies of the searches before packed states and memos --
-
-
-def successors(int_rows, state: tuple):
-    """Yield ``(i, next_state)`` for every node whose update moves it, in
-    index order, by a full ``update_value`` per node."""
-    for i in range(len(state)):
-        new = _engine.update_value(int_rows, state, i)
-        if new != state[i]:
-            yield i, state[:i] + (new,) + state[i + 1 :]
 
 
 def product_equilibria(net, opinion_values):
@@ -542,41 +579,6 @@ def _search_to_zero(rows, y0, target, dead, partners):
         cur = prev
     sequence.reverse()
     return ConsensusCertificate(initial=y0, sequence=tuple(sequence), target_time=len(sequence))
-
-
-def distinct_profile_search(net):
-    """Rank-permutation consensus search over ``range(n)``, with its own BFS
-    and the order-reversal symmetry ``v -> n - 1 - v``."""
-    n = net.n
-    if n == 1:
-        return True
-    rows = net.integer_rows
-    dead = set()
-    top = n - 1
-
-    def mirror(s):
-        return tuple(top - v for v in s)
-
-    for perm in permutations(range(n)):
-        y0 = tuple(perm)
-        if min(y0, mirror(y0)) in dead:
-            continue
-        seen = {y0}
-        frontier = [y0]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for _, s2 in successors(rows, s):
-                    if s2 in seen or min(s2, mirror(s2)) in dead:
-                        continue
-                    if len(set(s2)) == 1:
-                        return True
-                    seen.add(s2)
-                    nxt.append(s2)
-            frontier = nxt
-        for s in seen:
-            dead.add(min(s, mirror(s)))
-    return False
 
 
 def product_sign_tuples(n, z):
@@ -727,7 +729,7 @@ def update_value_calls(monkeypatch):
 
 class TestSearchWork:
     """Exact work counts: a change that drops the memo, the cohesive-pair
-    prune or the rank-reversal symmetry of the dead-state cache keeps every
+    prune or the sign-flip symmetry of the dead-state cache keeps every
     verdict and only costs time, so the counts are what shows it."""
 
     def test_decide_without_consensus(self, update_value_calls):
@@ -743,11 +745,6 @@ class TestSearchWork:
     def test_enumerate_equilibria(self, update_value_calls):
         assert len(enumerate_equilibria(fixtures.lattice(3, 3), range(3))) == 947
         assert update_value_calls[0] == 675
-
-    def test_distinct_profile_search(self, update_value_calls):
-        net = fixtures.disjoint_cliques(clique_size=3, blocks=2)
-        assert _distinct_profile_consensus_search(net) is False
-        assert update_value_calls[0] == 822
 
 
 @pytest.fixture
@@ -890,25 +887,23 @@ class TestCrossCheck:
             fixtures.directed_ring(4),
             fixtures.self_loop_nodes(3),
         ):
-            assert consensus_reachability_cross_check(net)
-
-    def test_bound_refusal(self):
-        with pytest.raises(ValueError):
-            consensus_reachability_cross_check(fixtures.complete_uniform(8), bound=6)
+            assert decide_consensus_reachable(net, bound=net.n)[0] == distinct_profile_search(net)
 
     def test_random_agreement(self):
         rnd = random.Random(0xAC)
         for _ in range(12):
             net = random_network(rnd, rnd.randint(2, 5))
-            assert consensus_reachability_cross_check(net)
+            assert decide_consensus_reachable(net, bound=net.n)[0] == distinct_profile_search(net)
 
     def test_distinct_search_matches_rank_search(self):
+        # Consensus on some value from an all-distinct profile is reachable
+        # iff the ternary search reaches all-zero from a one-zero profile.
         rnd = random.Random(0xD15C)
         nets = [random_network(rnd, rnd.randint(1, 6)) for _ in range(200)]
         nets += [random_coprime_network(rnd, rnd.randint(2, 5)) for _ in range(20)]
         nets += [fixtures.disjoint_cliques(clique_size=3, blocks=2), fixtures.directed_ring(5)]
         nets += covering_corpus(0xD15D, 40)
-        verdicts = [_distinct_profile_consensus_search(net) for net in nets]
+        verdicts = [decide_consensus_reachable(net, bound=net.n)[0] for net in nets]
         assert verdicts == [distinct_profile_search(net) for net in nets]
         assert 0 < sum(verdicts) < len(nets)
 

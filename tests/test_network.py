@@ -412,8 +412,10 @@ class TestDecisiveLinks:
 
     def test_non_edge_raises(self):
         net = fixtures.directed_ring(3)
-        with pytest.raises(ValueError):
-            is_decisive(net, 0, 0)
+        # A bool or float endpoint is refused even where it equals an edge's.
+        for i, j in ((0, 0), (0, True), (True, 2), (1.0, 2), (0, 1.0)):
+            with pytest.raises(ValueError):
+                is_decisive(net, i, j)
 
     def test_matches_subset_oracle(self):
         rnd = random.Random(0xDEC)
