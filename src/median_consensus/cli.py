@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._io import atomic_write_text, is_json_int, opinion_from_json, opinion_to_json, read_json
 from .cohesion import DEFAULT_ENUMERATION_BOUND, enumerate_maximal_cohesive_sets
@@ -27,6 +25,7 @@ from .dynamics import (
     LabelUniform,
     Trajectory,
     _draw_initial,
+    _rng,
     default_budget,
     ensemble,
     run,
@@ -146,7 +145,7 @@ def _resolve_initial(source, n: int, seed):
     if hasattr(source, "draw"):
         if seed is None:
             raise ValueError("a random initial distribution needs --seed")
-        rng = np.random.default_rng([int(seed), 0])
+        rng = _rng([int(seed), 0])
     return _draw_initial(source, rng, n)
 
 

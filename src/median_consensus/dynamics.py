@@ -20,13 +20,14 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import _engine
 from ._io import is_json_int
 from .network import InfluenceNetwork
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RandomSchedule",
@@ -40,6 +41,16 @@ __all__ = [
     "run",
     "ensemble",
 ]
+
+
+def _rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``, importing numpy on first use.
+
+    Only seeded draws need numpy, so commands that draw nothing never load it.
+    """
+    import numpy
+
+    return numpy.random.default_rng(seed)
 
 
 def default_budget(n: int) -> int:
@@ -259,12 +270,12 @@ def run(net: InfluenceNetwork, x0: Sequence, schedule) -> Trajectory:
         budget = schedule.budget if schedule.budget is not None else default_budget(net.n)
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        rng = np.random.default_rng(schedule.seed)
+        rng = _rng(schedule.seed)
         ticks = _random_ticks(rng, net.n, budget)
     else:
-        explicit = [int(i) for i in schedule]
+        explicit = list(schedule)
         for i in explicit:
-            if not 0 <= i < net.n:
+            if not (is_json_int(i) and 0 <= i < net.n):
                 raise ValueError(f"schedule node {i} out of range")
         budget = len(explicit)
         ticks = iter(explicit)
@@ -341,7 +352,7 @@ def _draw_initial(x0_source, rng: np.random.Generator, n: int) -> tuple:
 
 
 def _replica_summary(net, x0_source, base_seed, r, budget):
-    rng = np.random.default_rng([base_seed, r])
+    rng = _rng([base_seed, r])
     x0 = _draw_initial(x0_source, rng, net.n)
     state, table = _engine.encode_profile(list(x0))
     ticks = _random_ticks(rng, net.n, budget)
@@ -402,6 +413,10 @@ def ensemble(
         ]
     else:
         from concurrent.futures import ProcessPoolExecutor
+
+        # Load numpy once here, so forked workers inherit it instead of
+        # each importing it again.
+        import numpy  # noqa: F401
 
         with ProcessPoolExecutor(
             max_workers=eff_workers,

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import _engine
+from ._io import is_json_int, opinion_from_json, opinion_to_json
 from .cohesion import (
     DEFAULT_ENUMERATION_BOUND,
     _class_cuts_settled,
@@ -303,8 +304,6 @@ class ConsensusCertificate:
             raise ValueError("target_time must equal the sequence length")
 
     def to_json_dict(self) -> dict:
-        from ._io import opinion_to_json
-
         return {
             "initial": [opinion_to_json(v) for v in self.initial],
             "sequence": [i + 1 for i in self.sequence],
@@ -313,8 +312,6 @@ class ConsensusCertificate:
 
     @staticmethod
     def from_json_dict(payload: dict) -> "ConsensusCertificate":
-        from ._io import is_json_int, opinion_from_json
-
         try:
             initial = tuple(opinion_from_json(v) for v in payload["initial"])
             sequence = tuple(payload["sequence"])
@@ -331,7 +328,7 @@ def verify_certificate(net: InfluenceNetwork, cert: ConsensusCertificate) -> boo
     """Replay the certificate; true iff it ends at the all-zero state."""
     if len(cert.initial) != net.n:
         return False
-    if any(not 0 <= i < net.n for i in cert.sequence):
+    if not all(is_json_int(i) and 0 <= i < net.n for i in cert.sequence):
         return False
     traj = run(net, cert.initial, cert.sequence)
     return all(v == 0 for v in traj.terminal)

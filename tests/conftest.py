@@ -6,10 +6,15 @@ test pins its own seed and failures replay exactly.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import median_consensus
 from median_consensus import InfluenceNetwork, Nae3SatInstance, fixtures
 
 
@@ -26,6 +31,17 @@ def peak_allocation(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def python_child(code: str, *argv: str, options=()) -> subprocess.CompletedProcess:
+    """Run ``code`` with arguments ``argv`` in a fresh interpreter, started
+    with ``options``, that imports this package's source."""
+    src = str(Path(median_consensus.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, *options, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
 
 
 def random_row(rnd: random.Random, support_size: int, max_den: int = 24):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import HUGE_COUNT, peak_allocation
+from conftest import HUGE_COUNT, peak_allocation, python_child
 from median_consensus import cli, fixtures
 from median_consensus.network import save_network
 
@@ -344,6 +344,55 @@ class TestReduce:
         rc = cli.main(["reduce", "--instance", str(inst), "--emit", "dot"])
         out = capsys.readouterr().out
         assert rc == 0 and out.startswith("digraph")
+
+
+class TestWithoutNumpy:
+    """Only seeded draws load numpy; every other command runs without it."""
+
+    def test_import_leaves_numpy_out(self):
+        code = (
+            "import sys, median_consensus, median_consensus.cli\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = python_child(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_commands_without_draws_run_with_numpy_blocked(self, complete4, cliques, tmp_path,
+                                                           capsys):
+        inst = tmp_path / "inst.cnf"
+        inst.write_text("p nae3sat 2 1\n1 1 2\n")
+        cert = tmp_path / "cert.json"
+        assert cli.main(["decide", "--network", complete4, "--cert-out", str(cert)]) == 0
+        commands = [
+            ["--version"],
+            ["decide", "--network", complete4],
+            ["reduce", "--instance", str(inst), "--solve"],
+            ["verify-cert", "--network", complete4, "--cert", str(cert)],
+            ["analyze", "--network", cliques],
+        ]
+        capsys.readouterr()
+        expected = []
+        for argv in commands:
+            rc = cli.main(argv)
+            expected.append([rc, capsys.readouterr().out])
+        assert [rc for rc, _ in expected] == [0, 0, 0, 0, 0]
+        # ``None`` in sys.modules makes every ``import numpy`` raise.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from median_consensus import cli\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        rc = cli.main(argv)\n"
+            "    results.append([rc, out.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        proc = python_child(code, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
 
 
 class TestErrorPaths:

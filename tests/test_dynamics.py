@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     network_corpus,
+    python_child,
     random_coprime_network,
     random_network,
     random_profile,
@@ -215,8 +216,10 @@ class TestRun:
                 )
 
     def test_bad_schedule_node(self):
-        with pytest.raises(ValueError):
-            run(fixtures.complete_uniform(3), (0, 1, 2), [0, 7])
+        # as in ``step``, a bool or a float is not a node number
+        for schedule in ([0, 7], [0.9, True], [True], [1.0]):
+            with pytest.raises(ValueError, match="schedule node .* out of range"):
+                run(fixtures.complete_uniform(3), (0, 1, 2), schedule)
 
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError):
@@ -266,6 +269,23 @@ class TestEnsemble:
         serial = ensemble(net, LabelUniform(k=3), replicas=24, seed=6, workers=1)
         parallel = ensemble(net, LabelUniform(k=3), replicas=24, seed=6, workers=3)
         assert serial == parallel and serial.census == parallel.census
+
+    def test_workers_inherit_numpy_from_the_parent(self):
+        # The parent loads numpy before the pool forks, so no worker imports
+        # it on its own; a child interpreter starts without it.
+        code = (
+            "import sys\n"
+            "from median_consensus import LabelUniform, ensemble, fixtures\n"
+            "assert 'numpy' not in sys.modules\n"
+            "net = fixtures.complete_uniform(4)\n"
+            "two = ensemble(net, LabelUniform(3), replicas=4, seed=1, workers=2)\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "one = ensemble(net, LabelUniform(3), replicas=4, seed=1, workers=1)\n"
+            "print(loaded, two == one and two.census == one.census)\n"
+        )
+        proc = python_child(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True True\n"
 
     def test_fixed_initial_census_single_pattern(self):
         net = fixtures.disjoint_cliques(clique_size=3, blocks=2)

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import json
 import operator
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 from itertools import chain, product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    python_child,
     random_coprime_network,
     random_network,
     random_profile,
@@ -39,7 +36,6 @@ from median_consensus import (
     decide_consensus_reachable,
     enumerate_equilibria,
     enumerate_maximal_cohesive_sets,
-    equilibria,
     fixtures,
     is_equilibrium,
     is_equilibrium_structural,
@@ -465,12 +461,7 @@ class TestDecideConsensusReachable:
             "except RuntimeError as exc:\n"
             "    print(__debug__, exc)\n"
         )
-        src = str(Path(equilibria.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-        )
+        proc = python_child(code, options=("-O",))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False consensus certificate failed replay verification\n"
 
@@ -874,9 +865,17 @@ class TestCertificates:
         assert verify_certificate(net, cert) is False
 
     def test_out_of_range_node_fails(self):
+        # Node 1 then node 2 reach all-zero, but ``True`` and ``1.0`` are not
+        # node numbers, as ``step`` has it.
         net = fixtures.complete_uniform(3)
-        cert = ConsensusCertificate(initial=(-1, 0, 1), sequence=(9,), target_time=1)
-        assert verify_certificate(net, cert) is False
+        assert verify_certificate(
+            net, ConsensusCertificate(initial=(0, -1, 1), sequence=(1, 2), target_time=2)
+        )
+        for sequence in [(9,), (True, 2), (1.0, 2)]:
+            cert = ConsensusCertificate(
+                initial=(0, -1, 1), sequence=sequence, target_time=len(sequence)
+            )
+            assert verify_certificate(net, cert) is False, sequence
 
 
 class TestCrossCheck:
