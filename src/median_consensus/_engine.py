@@ -34,13 +34,25 @@ import operator
 
 
 def encode_profile(values):
-    """Map a profile to rank ints; returns (state list, decode table)."""
+    """Map a profile to rank ints; returns (state list, decode table).
+
+    One dict pass hashes each value once and gives it a first-seen code;
+    only the distinct values are sorted, and the codes are then remapped to
+    ranks.  ``table[rank]`` is the first-seen object among equal values
+    (``[1, Fraction(1)]`` keeps ``1``).  Unhashable or mutually incomparable
+    values raise ``ValueError``.
+    """
+    codes: dict = {}
     try:
-        table = sorted(set(values))
+        state = [codes.setdefault(v, len(codes)) for v in values]
+        distinct = list(codes)
+        order = sorted(range(len(distinct)), key=distinct.__getitem__)
     except TypeError as exc:
         raise ValueError("opinion values must be mutually comparable") from exc
-    rank = {v: k for k, v in enumerate(table)}
-    return [rank[v] for v in values], table
+    rank = [0] * len(order)
+    for k, code in enumerate(order):
+        rank[code] = k
+    return [rank[c] for c in state], [distinct[c] for c in order]
 
 
 def margin(row, inside) -> int:

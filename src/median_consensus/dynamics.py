@@ -73,7 +73,7 @@ class LabelUniform:
     k: int
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
-        if self.k < 1:
+        if not (is_json_int(self.k) and self.k >= 1):
             raise ValueError("need at least one label")
         return tuple(int(v) for v in rng.integers(0, self.k, size=n))
 
@@ -86,11 +86,13 @@ class GridUniform:
     points: int = 201
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
-        if self.points < 2:
+        if not (is_json_int(self.points) and self.points >= 2):
             raise ValueError("grid needs at least two points")
         span = self.points - 1
-        picks = rng.integers(0, self.points, size=n)
-        return tuple(Fraction(2 * int(k) - span, span) for k in picks)
+        picks = rng.integers(0, self.points, size=n).tolist()
+        # One shared Fraction per distinct drawn index, never the whole grid.
+        grid = {k: Fraction(2 * k - span, span) for k in set(picks)}
+        return tuple(map(grid.__getitem__, picks))
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,10 @@ def run(net: InfluenceNetwork, x0: Sequence, schedule) -> Trajectory:
 
 
 def _census_key(terminal: tuple) -> str:
-    """Canonical form of a terminal state up to order-preserving relabeling."""
+    """Canonical form of a terminal state up to order-preserving relabeling.
+
+    Replicas pass their terminal ranks, which give the same key as the
+    decoded values since the encoding preserves order."""
     table = {v: k for k, v in enumerate(sorted(set(terminal)))}
     return ",".join(str(table[v]) for v in terminal)
 
@@ -354,12 +359,13 @@ def _draw_initial(x0_source, rng: np.random.Generator, n: int) -> tuple:
 def _replica_summary(net, x0_source, base_seed, r, budget):
     rng = _rng([base_seed, r])
     x0 = _draw_initial(x0_source, rng, net.n)
-    state, table = _engine.encode_profile(list(x0))
+    state, _ = _engine.encode_profile(x0)
     ticks = _random_ticks(rng, net.n, budget)
     _, converged, used = _run_encoded(net, state, ticks, budget)
-    terminal = tuple(table[v] for v in state)
-    consensus = converged and len(set(terminal)) == 1
-    return converged, consensus, used, _census_key(terminal)
+    # The encoding preserves order, so consensus and the census read the
+    # terminal ranks as they would the decoded values.
+    consensus = converged and len(set(state)) == 1
+    return converged, consensus, used, _census_key(state)
 
 
 _worker_config: tuple = ()
@@ -404,8 +410,10 @@ def ensemble(
         raise ValueError("workers must be at least 1")
     eff_workers = min(eff_workers, replicas)
     if not hasattr(x0_source, "draw"):
-        # A fixed state is checked here, before any replica or worker starts.
+        # A fixed state's length and values are checked here, before any
+        # replica or worker starts; each replica still encodes its own copy.
         x0_source = _draw_initial(x0_source, None, net.n)
+        _engine.encode_profile(x0_source)
 
     if eff_workers == 1:
         summaries = [

@@ -243,6 +243,42 @@ class TestDistributions:
         assert set(draw) <= allowed
         assert all(-1 <= v <= 1 for v in draw)
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (LabelUniform(0), "at least one label"),
+            (LabelUniform(2.5), "at least one label"),
+            (LabelUniform(True), "at least one label"),
+            (LabelUniform("3"), "at least one label"),
+            (GridUniform(1), "at least two points"),
+            (GridUniform(5.0), "at least two points"),
+            (GridUniform("3"), "at least two points"),
+        ],
+        ids=repr,
+    )
+    def test_parameters_must_be_json_ints(self, source, message):
+        with pytest.raises(ValueError, match=message):
+            source.draw(dynamics._rng(1), 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(2, 300), st.integers(2, 10**9), st.just(10**9)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 400),
+    )
+    def test_grid_draw_matches_per_node_fractions(self, points, seed, n):
+        # The draw shares one Fraction per distinct index; the values and the
+        # generator's consumption are those of one Fraction per node.
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        draw = GridUniform(points).draw(rng, n)
+        ref = np.random.default_rng(seed)
+        span = points - 1
+        expected = tuple(F(2 * int(k) - span, span) for k in ref.integers(0, points, size=n))
+        assert draw == expected
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
     def test_default_budget_frozen(self):
         assert default_budget(8) == 3516
         assert default_budget(1) == 139
@@ -311,7 +347,9 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least 1"):
             ensemble(fixtures.complete_uniform(3), LabelUniform(k=2), replicas=2, seed=1, **option)
 
-    def test_fixed_state_length_checked_before_any_replica(self, monkeypatch):
+    @pytest.fixture
+    def no_replica_runs(self, monkeypatch):
+        """Fail the test if a replica runs or a worker pool starts."""
         def no_replica(*args):
             raise AssertionError("a replica ran")
 
@@ -320,10 +358,64 @@ class TestEnsemble:
 
         monkeypatch.setattr(dynamics, "_replica_summary", no_replica)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+
+    def test_fixed_state_length_checked_before_any_replica(self, no_replica_runs):
         for workers in (1, 2):
             with pytest.raises(ValueError, match="initial state length 3 != n=4"):
                 ensemble(fixtures.complete_uniform(4), (0, 1, 2), replicas=4, seed=1,
                          workers=workers)
+
+    @pytest.mark.parametrize("state", [(0, "a", 1, 2), ([0], 1, 2, 3)],
+                             ids=["incomparable", "unhashable"])
+    def test_fixed_state_encoded_before_any_replica(self, no_replica_runs, state):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="mutually comparable"):
+                ensemble(fixtures.complete_uniform(4), state, replicas=4, seed=1,
+                         workers=workers)
+
+    def test_census_matches_decoded_terminals(self):
+        # Every replica is rerun here through ``run`` on the ticks its own
+        # generator yields after the draw, and the census is taken from the
+        # decoded terminal values, not from ranks.
+        def value_census_key(terminal):
+            table = {v: k for k, v in enumerate(sorted(set(terminal)))}
+            return ",".join(str(table[v]) for v in terminal)
+
+        class TwoBands:
+            """Even nodes draw ints in 0..2, odd nodes Fractions in 1..2."""
+
+            def draw(self, rng, n):
+                low = rng.integers(0, 3, size=n).tolist()
+                high = rng.integers(2, 5, size=n).tolist()
+                return tuple(lo if i % 2 == 0 else F(hi, 2)
+                             for i, (lo, hi) in enumerate(zip(low, high)))
+
+        rnd = random.Random(0xCE45)
+        nets = [random_network(rnd, rnd.randint(2, 8)) for _ in range(8)]
+        nets += [fixtures.disjoint_cliques(clique_size=3, blocks=2), fixtures.lattice(3, 3)]
+        consensus_seen = set()
+        for k, net in enumerate(nets):
+            fixed = tuple(rnd.choice((0, 1, 2, F(1), F(1, 2), F(4, 2))) for _ in range(net.n))
+            for source in (LabelUniform(3), GridUniform(7), TwoBands(), fixed):
+                budget = rnd.choice((None, 3))
+                rep = ensemble(net, source, replicas=6, seed=k, budget=budget)
+                census = {}
+                consensus = 0
+                used = []
+                for r in range(6):
+                    rng = dynamics._rng([k, r])
+                    x0 = source.draw(rng, net.n) if hasattr(source, "draw") else source
+                    ticks = list(dynamics._random_ticks(rng, net.n, rep.budget))
+                    traj = run(net, x0, ticks)
+                    key = value_census_key(traj.terminal)
+                    census[key] = census.get(key, 0) + 1
+                    consensus += traj.converged and len(set(traj.terminal)) == 1
+                    used.append(traj.steps_used)
+                assert rep.census == census
+                assert rep.consensus_count == consensus
+                assert (rep.steps_min, rep.steps_max) == (min(used), max(used))
+                consensus_seen.add(consensus)
+        assert 0 in consensus_seen and 6 in consensus_seen
 
 
 class TestIncrementalTables:

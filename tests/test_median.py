@@ -34,6 +34,17 @@ def oracle_median_set(values, weights):
     return tuple(out)
 
 
+def oracle_encode_profile(values):
+    """``_engine.encode_profile`` as first written: sort the set of values,
+    then look every value up in a rank dict."""
+    try:
+        table = sorted(set(values))
+    except TypeError as exc:
+        raise ValueError("opinion values must be mutually comparable") from exc
+    rank = {v: k for k, v in enumerate(table)}
+    return [rank[v] for v in values], table
+
+
 class TestKnownValues:
     VALUES = (1, 2, 3)
     WEIGHTS = (F(1, 5), F(3, 10), F(1, 2))
@@ -213,3 +224,41 @@ class TestEngineMedian:
         for ref in range(-1, max(state) + 2):
             expected = closest_weighted_median(values + (ref,), weights + (F(0),), ref)
             assert _engine.median_of(masses, row[2], ref) == expected
+
+
+# Small ints and Fractions equal to some of them (2 and F(4, 2)), strings,
+# and mixes: numbers with strings are incomparable, and lists unhashable.
+numbers = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 3)))
+labels = st.sampled_from(["a", "b", "ab"])
+profiles = st.one_of(
+    st.lists(numbers, max_size=12),
+    st.lists(labels, max_size=12),
+    st.lists(st.one_of(numbers, labels, st.lists(st.integers(0, 1), max_size=1)), max_size=6),
+)
+
+
+class TestEncodeProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(profiles)
+    def test_matches_sorted_set_oracle(self, values):
+        try:
+            expected = oracle_encode_profile(values)
+        except ValueError:
+            with pytest.raises(ValueError, match="mutually comparable"):
+                _engine.encode_profile(values)
+            return
+        state, table = _engine.encode_profile(values)
+        assert (state, table) == expected
+        assert all(got is want for got, want in zip(table, expected[1], strict=True))
+
+    def test_keeps_first_seen_object(self):
+        one = F(1)
+        state, table = _engine.encode_profile([one, 1])
+        assert state == [0, 0] and table == [one] and table[0] is one
+        state, table = _engine.encode_profile([1, F(1, 2), one])
+        assert state == [1, 0, 1] and type(table[1]) is int
+
+    @pytest.mark.parametrize("values", [[[1], 2], [0, "a"]], ids=["list-valued", "int-and-str"])
+    def test_unhashable_or_incomparable_refused(self, values):
+        with pytest.raises(ValueError, match="mutually comparable"):
+            _engine.encode_profile(values)
