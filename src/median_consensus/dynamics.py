@@ -53,6 +53,14 @@ def _rng(seed) -> np.random.Generator:
     return numpy.random.default_rng(seed)
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer of at least 1, as JSON has it."""
+    if not is_json_int(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def default_budget(n: int) -> int:
     """Default tick budget for random schedules: 200 * n * ln(n + 1)."""
     return max(1, math.ceil(200 * n * math.log(n + 1)))
@@ -270,8 +278,7 @@ def run(net: InfluenceNetwork, x0: Sequence, schedule) -> Trajectory:
     state, table = _engine.encode_profile(vals)
     if isinstance(schedule, RandomSchedule):
         budget = schedule.budget if schedule.budget is not None else default_budget(net.n)
-        if budget < 1:
-            raise ValueError("budget must be at least 1")
+        _check_count("budget", budget)
         rng = _rng(schedule.seed)
         ticks = _random_ticks(rng, net.n, budget)
     else:
@@ -398,16 +405,14 @@ def ensemble(
     Replica ``r`` derives its own generator from ``[seed, r]``, so reports
     are identical for any worker count.  ``workers`` processes (default 1,
     never more than ``replicas``) run the replicas and receive the network
-    once.  ``budget`` and ``workers`` must be at least 1.
+    once.  ``replicas``, ``budget`` and ``workers`` must be integers of at
+    least 1.
     """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    _check_count("replicas", replicas)
     eff_budget = budget if budget is not None else default_budget(net.n)
-    if eff_budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_count("budget", eff_budget)
     eff_workers = workers if workers is not None else 1
-    if eff_workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_count("workers", eff_workers)
     eff_workers = min(eff_workers, replicas)
     if not hasattr(x0_source, "draw"):
         # A fixed state's length and values are checked here, before any

@@ -8,10 +8,13 @@ to search profiles with values in {-1, 0, 1} having exactly one zero entry,
 for consensus on the zero.  That search is an exhaustive, hence
 exponential, breadth-first search over states packed into ints, which
 caches dead states up to flipping every sign; it refuses inputs beyond an
-explicit node bound.  Agreeing members of a cohesive set never move, so
-ternary starts are the two-colourings by -1 and +1 of one graph joining
-the cohesive pairs, where a frozen node is its own partner.  The search
-and the enumeration of equilibria take every node update from one
+explicit node bound.  A node only ever takes a value held in its own row,
+so the zero spreads backwards along row links: all-zero is reachable only
+from a zero in the network's unique sink component, and without one the
+answer is no before any search.  Agreeing members of a cohesive set never
+move, so ternary starts are the two-colourings by -1 and +1 of one graph
+joining the cohesive pairs, where a frozen node is its own partner.  The
+search and the enumeration of equilibria take every node update from one
 ``_engine.LocalRule``, whose per-node memo computes each local pattern
 once.
 """
@@ -34,6 +37,7 @@ from .cohesion import (
 from .dynamics import RandomSchedule, _validate_state, default_budget, is_equilibrium, run
 from .network import (
     InfluenceNetwork,
+    _reach,
     decisive_subgraph,
     has_globally_reachable_node,
     has_half_ties,
@@ -349,31 +353,49 @@ def decide_consensus_reachable(
 ) -> tuple[bool, ConsensusCertificate | None]:
     """Can some ternary initial state with one zero entry reach all-zero?
 
-    Exhaustive seeded search: for every choice of the zero node, breadth-
-    first exploration from each start of ``_starts``, the sign patterns in
-    which no blocking partners agree; the search also prunes states where
-    a moved node comes to agree with a partner.  Every start goes through
-    ``_shortest_path`` on one ternary ``_engine.LocalRule``, so node
-    updates are memoised and states proven unable to reach all-zero are
-    cached across starts, up to flipping every sign.  On success the
+    A node's new value is always one held in its own row, so zeros appear
+    only at nodes listening to a zero, and all-zero needs every node to
+    lead along row links to the zero node.  So the zero node must lie in
+    the network's unique sink component, the globally reachable nodes:
+    without one the answer is no at once, and otherwise only its members
+    are tried.  The skipped positions never succeed, so the first
+    successful start, and its certificate, are those of trying them all.
+
+    Exhaustive seeded search: for each such zero node in index order,
+    breadth-first exploration from each start of ``_starts``, the sign
+    patterns in which no blocking partners agree; the search also prunes
+    states where a moved node comes to agree with a partner.  Every start
+    goes through ``_shortest_path`` on one ternary ``_engine.LocalRule``,
+    so node updates are memoised and states proven unable to reach
+    all-zero are cached across starts, up to flipping every sign.
+    ``bound`` must be an integer, and a network past it is refused before
+    anything else.  On success the
     certificate (initial state + shortest update sequence for it) is
     replayed before it is returned; a failed replay raises RuntimeError.
     """
+    if not is_json_int(bound):
+        raise ValueError("bound must be an integer")
     n = net.n
     if n > bound:
         raise ValueError(
             f"n={n} exceeds the decision bound {bound}; the search is exponential -- "
             "raise `bound` explicitly to force it"
         )
+    reachable, witness = has_globally_reachable_node(net)
+    if not reachable:
+        return False, None
+    sink = [False] * n
+    _reach([row[0] for row in net.integer_rows], witness, sink)
     partners = _blocking_partners(net)
     # Ranks 0, 1, 2 stand for -1, 0, +1, so the sign flip is ``full - s``.
     rule = _engine.LocalRule(net.integer_rows, 3)
+    low, high = _partner_masks(rule, partners)
     goal = rule.pack((1,) * n)
     dead: set = set()
 
-    for z in range(n):
+    for z in itertools.compress(range(n), sink):
         for start in _starts(rule, z, partners):
-            path = _shortest_path(rule, start, goal, dead, partners)
+            path = _shortest_path(rule, start, goal, dead, low, high)
             if path is not None:
                 initial = tuple(v - 1 for v in rule.unpack(start))
                 cert = ConsensusCertificate(initial=initial, sequence=path, target_time=len(path))
@@ -381,6 +403,18 @@ def decide_consensus_reachable(
                     raise RuntimeError("consensus certificate failed replay verification")
                 return True, cert
     return False, None
+
+
+def _partner_masks(rule, partners: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Per node, its partners' fields as masks of their low and high bits.
+
+    A ternary field is 00, 01 or 10, so a partner at +1 shows in ``s &
+    high[i]`` and one at -1 in ``~(s | s >> 1) & low[i]``.
+    """
+    shifts = rule.shifts
+    low = [sum(1 << shifts[p] for p in ps) for ps in partners]
+    high = [low_i << 1 for low_i in low]
+    return low, high
 
 
 def _starts(rule, z: int, partners: list[list[int]]):
@@ -418,7 +452,7 @@ def _starts(rule, z: int, partners: list[list[int]]):
         yield base + sum(picks)
 
 
-def _shortest_path(rule, start, goal, dead, partners):
+def _shortest_path(rule, start, goal, dead, low, high):
     """Shortest update sequence from packed ternary ``start`` to ``goal``.
 
     Breadth-first over the moves of ``rule`` (an ``_engine.LocalRule`` on
@@ -428,15 +462,18 @@ def _shortest_path(rule, start, goal, dead, partners):
     and its sign flip ``rule.full - s`` (the dynamics and the all-zero goal
     commute with flipping every sign); a failed search adds every state it
     saw.  A successor whose updated node now agrees on a nonzero sign with
-    one of its blocking ``partners`` is dead too, since neither ever moves
-    again.  Returns the node tuple or None.
+    one of its blocking partners is dead too, since neither ever moves
+    again.  ``low`` and ``high`` (``_partner_masks``) hold per node its
+    partners' low and high field bits, so that check is two ANDs on the
+    2-bit fields: +1 (10) shows in ``high``, and -1 (00) is a field with
+    neither bit set.  Returns the node tuple or None.
     """
     if start == goal:
         return ()
     full = rule.full
     if min(start, full - start) in dead:
         return None
-    rows, field, shifts, unpack = rule.rows, rule.field, rule.shifts, rule.unpack
+    rows, field, unpack = rule.rows, rule.field, rule.unpack
     parents = {start: None}
     frontier = [start]
     while frontier:
@@ -467,7 +504,7 @@ def _shortest_path(rule, start, goal, dead, partners):
                     canon = s2
                 if canon in dead:
                     continue
-                if new != 1 and new in [s2 >> shifts[p] & field for p in partners[i]]:
+                if new == 2 and s2 & high[i] or new == 0 and ~(s2 | s2 >> 1) & low[i]:
                     dead.add(canon)
                     continue
                 parents[s2] = (s, i)

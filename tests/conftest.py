@@ -14,6 +14,8 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import median_consensus
 from median_consensus import InfluenceNetwork, Nae3SatInstance, fixtures
 
@@ -167,3 +169,37 @@ def reduction_corpus():
         seen.add(clauses)
         out.append(Nae3SatInstance(n, clauses))
     return out
+
+
+_ORACLE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def oracle_networks(draw, max_n=8):
+    """Networks with up to ``max_n`` nodes whose rows are drawn from three
+    kinds: small denominators, two halves of exactly 1/2 each, or weights
+    over distinct primes.  Supports may include the node itself."""
+    n = draw(st.integers(1, max_n))
+    dense = []
+    for _ in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        k = len(support)
+        kind = draw(st.sampled_from(("small", "half", "coprime"))) if k > 1 else "small"
+        if kind == "small":
+            parts = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+            weights = [Fraction(p, sum(parts)) for p in parts]
+        elif kind == "half":
+            split = draw(st.integers(1, k - 1))
+            parts = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+            low, high = sum(parts[:split]), sum(parts[split:])
+            weights = [Fraction(p, 2 * low) for p in parts[:split]]
+            weights += [Fraction(p, 2 * high) for p in parts[split:]]
+        else:
+            primes = draw(st.permutations(_ORACLE_PRIMES))[: k - 1]
+            weights = [Fraction(draw(st.integers(1, max(1, p // k))), p) for p in primes]
+            weights.append(1 - sum(weights, Fraction(0)))
+        row = [Fraction(0)] * n
+        for j, w in zip(support, weights):
+            row[j] = w
+        dense.append(row)
+    return InfluenceNetwork.from_rows(dense)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coprime_network, random_network
+from conftest import oracle_networks, random_coprime_network, random_network
 from median_consensus import (
     InfluenceNetwork,
     RandomSchedule,
@@ -80,39 +80,6 @@ def oracle_structural(net, x):
 def chain_network(n):
     """Node 0 listens only to itself and node i only to node i - 1."""
     return InfluenceNetwork.from_edges(n, [(0, 0, 1)] + [(i, i - 1, 1) for i in range(1, n)])
-
-
-_PRIMES = (5, 7, 11, 13, 17, 19, 23)
-
-
-@st.composite
-def oracle_networks(draw, max_n=8):
-    """Networks with up to ``max_n`` nodes whose rows are drawn from three
-    kinds: small denominators, two halves of exactly 1/2 each, or weights
-    over distinct primes.  Supports may include the node itself."""
-    n = draw(st.integers(1, max_n))
-    dense = []
-    for _ in range(n):
-        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        k = len(support)
-        kind = draw(st.sampled_from(("small", "half", "coprime"))) if k > 1 else "small"
-        if kind == "small":
-            parts = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
-            weights = [F(p, sum(parts)) for p in parts]
-        elif kind == "half":
-            split = draw(st.integers(1, k - 1))
-            parts = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
-            low, high = sum(parts[:split]), sum(parts[split:])
-            weights = [F(p, 2 * low) for p in parts[:split]] + [F(p, 2 * high) for p in parts[split:]]
-        else:
-            primes = draw(st.permutations(_PRIMES))[: k - 1]
-            weights = [F(draw(st.integers(1, max(1, p // k))), p) for p in primes]
-            weights.append(1 - sum(weights, F(0)))
-        row = [F(0)] * n
-        for j, w in zip(support, weights):
-            row[j] = w
-        dense.append(row)
-    return InfluenceNetwork.from_rows(dense)
 
 
 # Repeated values, and floats equal to Fractions, put several nodes in a class.

@@ -24,6 +24,7 @@ from median_consensus import (
     LabelUniform,
     RandomSchedule,
     closest_weighted_median,
+    decide_consensus_reachable,
     default_budget,
     ensemble,
     fixtures,
@@ -346,6 +347,28 @@ class TestEnsemble:
     def test_counts_below_one_rejected(self, option):
         with pytest.raises(ValueError, match="at least 1"):
             ensemble(fixtures.complete_uniform(3), LabelUniform(k=2), replicas=2, seed=1, **option)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("bound", lambda net: decide_consensus_reachable(net, bound=2.5)),
+            ("bound", lambda net: decide_consensus_reachable(net, bound=None)),
+            ("replicas", lambda net: ensemble(net, LabelUniform(3), True, 1)),
+            ("replicas", lambda net: ensemble(net, LabelUniform(3), 2.0, 1)),
+            ("budget", lambda net: ensemble(net, LabelUniform(3), 2, 1, budget=50.0)),
+            ("workers", lambda net: ensemble(net, LabelUniform(3), 2, 1, workers=1.0)),
+            ("budget", lambda net: run(net, (0, 1, 2), RandomSchedule(seed=0, budget=True))),
+            ("budget", lambda net: run(net, (0, 1, 2), RandomSchedule(seed=0, budget=5.0))),
+        ],
+        ids=[
+            "decide-bound-float", "decide-bound-none", "replicas-bool", "replicas-float",
+            "ensemble-budget-float", "workers-float", "run-budget-bool", "run-budget-float",
+        ],
+    )
+    def test_integer_parameters_refuse_bools_and_floats(self, name, call):
+        # One rule, as for node numbers: a JSON integer, so no bool or float.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(fixtures.complete_uniform(3))
 
     @pytest.fixture
     def no_replica_runs(self, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_networks,
     python_child,
     random_coprime_network,
     random_network,
@@ -44,6 +45,7 @@ from median_consensus import (
 )
 from median_consensus.equilibria import (
     _blocking_partners,
+    _partner_masks,
     _shortest_path,
     _starts,
 )
@@ -169,7 +171,9 @@ class TestIntegerThresholdsMatchFractionOracle:
             searched = _engine.LocalRule(net.integer_rows, 3)
             goal = searched.pack((1,) * net.n)
             partners = _blocking_partners(net)
-            _shortest_path(searched, searched.pack(ternary), goal, set(), partners)
+            _shortest_path(
+                searched, searched.pack(ternary), goal, set(), *_partner_masks(searched, partners)
+            )
             for levels, rule in ((len(table), walked), (3, searched)):
                 for i, _, _, memo in rule.nodes:
                     covers_all = {i, *net.out_neighbors(i)} == set(range(net.n))
@@ -483,7 +487,48 @@ class TestDecideConsensusReachable:
                 assert set(state) != {0}
 
 
+class TestPaperLaws:
+    """The paper's graph conditions bound the exhaustive decision."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_networks())
+    def test_classification_flags_bound_decide(self, net):
+        report = classify(net)
+        reachable, _ = decide_consensus_reachable(net)
+        if report.consensus_certain:
+            assert reachable
+        if report.dissensus_certain:
+            assert not reachable
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_networks())
+    def test_certificate_zero_lies_in_the_sink_component(self, net):
+        # A node only takes values held in its own row, so the zero spreads
+        # backwards along row links and must start where every node leads.
+        reachable, cert = decide_consensus_reachable(net)
+        if reachable:
+            assert cert.initial.index(0) in oracle_sink_component(net)
+        else:
+            assert cert is None
+
+
 # -- oracles: frozen copies of the searches before packed states and memos --
+
+
+def oracle_sink_component(net):
+    """Nodes that every node reaches along positive-weight row links, by one
+    closure per node over the Fraction weights."""
+    def reached(i):
+        seen, stack = {i}, [i]
+        while stack:
+            a = stack.pop()
+            for b in range(net.n):
+                if b not in seen and net.weight(a, b) > 0:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    return set.intersection(*(reached(i) for i in range(net.n)))
 
 
 def product_equilibria(net, opinion_values):
@@ -686,6 +731,24 @@ class TestPairConsistentStarts:
             reachable += verdict[0]
         assert 0 < reachable < len(nets)
 
+    def test_partner_masks_match_partner_fields(self):
+        # The two masks flag a node's new sign exactly when one of its
+        # partners holds it, on every ternary state of small networks.
+        checked = 0
+        for rnd, net in oracle_corpus():
+            rule = _engine.LocalRule(net.integer_rows, 3)
+            partners = _blocking_partners(net)
+            low, high = _partner_masks(rule, partners)
+            for ranks in product(range(3), repeat=min(net.n, 4)):
+                ranks = (*ranks, *(rnd.randint(0, 2) for _ in range(net.n - len(ranks))))
+                s = rule.pack(ranks)
+                for i in range(net.n):
+                    held = {ranks[p] for p in partners[i]}
+                    assert bool(s & high[i]) == (2 in held)
+                    assert bool(~(s | s >> 1) & low[i]) == (0 in held)
+                    checked += 1
+        assert checked > 10_000
+
     def test_odd_cycle_of_pairs_admits_no_start(self):
         # Nodes 0-2 split their weight evenly, so every two of them form a
         # cohesive pair; node 3 listens only to itself and must be the zero.
@@ -724,8 +787,22 @@ class TestSearchWork:
     verdict and only costs time, so the counts are what shows it."""
 
     def test_decide_without_consensus(self, update_value_calls):
+        # No node is globally reachable, so no zero position can spread.
         assert decide_consensus_reachable(fixtures.disjoint_cliques(4, 3)) == (False, None)
-        assert update_value_calls[0] == 692
+        assert update_value_calls[0] == 0
+
+    def test_decide_outside_the_sink_component(self, update_value_calls):
+        # Nodes 4 and 5 follow the 4-clique {0..3} with a third of their
+        # weight and each other with the rest, a cohesive pair: the zero
+        # starts in the clique only, and never reaches the pair.
+        third, twelfth = F(1, 3), F(1, 12)
+        rows = [[third] * 4 + [0, 0] for _ in range(4)]
+        for i in range(4):
+            rows[i][i] = 0
+        rows += [[twelfth] * 4 + [0, 2 * third], [twelfth] * 4 + [2 * third, 0]]
+        net = InfluenceNetwork.from_rows(rows)
+        assert decide_consensus_reachable(net) == (False, None)
+        assert update_value_calls[0] == 254
 
     def test_decide_on_unsatisfiable_gadget(self, update_value_calls):
         inst = reduction_corpus()[4]
