@@ -22,15 +22,14 @@ the listener's lower median to an adjacent occupied rank as needed, so a
 change costs one entry per listener rather than a sort of every listener's
 table.
 
-The exhaustive searches visit many states that differ in a few nodes, so
-they use ``LocalRule``: a state packed into one int, and per node a memo
-from the node's own and its row's fields to its new rank.  Every memo entry
-is filled by ``update_value``, so the searches still follow the one rule.
+The one exhaustive search, ``decide``'s, visits many ternary states that
+differ in a few nodes, so it uses ``LocalRule``: a state packed into one
+int, and per node a memo from the node's own and its row's fields to its
+new rank.  Every memo entry is filled by ``update_value``, so the search
+still follows the one rule.
 """
 
 from __future__ import annotations
-
-import operator
 
 
 def encode_profile(values):
@@ -120,40 +119,35 @@ def update_value(int_rows, state, i):
 
 
 class LocalRule:
-    """Packed states over ``levels`` ranks, with a memoised update per node.
+    """Packed ternary states, with a memoised update per node.
 
-    A state is one int: node i's rank sits in ``width`` bits from bit
-    ``width * i``.  Node i's update reads only the fields of ``{i, *row}``,
+    A state is one int: node i's rank, 0, 1 or 2, sits in the two bits from
+    bit ``2 * i``.  Node i's update reads only the fields of ``{i, *row}``,
     the bits of its mask, so node i's memo maps ``s & mask`` to its new rank
     and is filled on first use by ``update_value`` on the unpacked state.  A
     node whose row covers every node gets no memo (None): its key is the
     whole state, which a search never meets twice.  Reversing the rank
-    order maps ``s`` to ``full - s``.
+    order maps ``s`` to ``full - s``, where every field of ``full`` is 2.
 
     ``nodes`` holds ``(i, shift, mask, memo)`` per node in index order.
     """
 
-    __slots__ = ("rows", "field", "shifts", "full", "nodes")
+    __slots__ = ("rows", "shifts", "full", "nodes")
 
-    def __init__(self, int_rows, levels: int):
+    def __init__(self, int_rows):
         n = len(int_rows)
-        width = (levels - 1).bit_length()
         self.rows = int_rows
-        self.field = field = (1 << width) - 1
-        self.shifts = shifts = [width * i for i in range(n)]
-        self.full = sum((levels - 1) << sh for sh in shifts)
-        whole = (1 << width * n) - 1
+        self.shifts = shifts = [2 * i for i in range(n)]
+        self.full = sum(2 << sh for sh in shifts)
+        whole = (1 << 2 * n) - 1
         # A set, so that a self-loop does not count node i's field twice.
-        masks = [
-            sum(field << shifts[j] for j in {i, *row[0]}) for i, row in enumerate(int_rows)
-        ]
+        masks = [sum(3 << shifts[j] for j in {i, *row[0]}) for i, row in enumerate(int_rows)]
         self.nodes = tuple(
             (i, shifts[i], m, None if m == whole else {}) for i, m in enumerate(masks)
         )
 
     def pack(self, ranks) -> int:
-        return sum(map(operator.lshift, ranks, self.shifts))
+        return sum(r << 2 * i for i, r in enumerate(ranks))
 
     def unpack(self, s: int) -> tuple:
-        field = self.field
-        return tuple([s >> sh & field for sh in self.shifts])
+        return tuple([s >> sh & 3 for sh in self.shifts])

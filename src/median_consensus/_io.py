@@ -18,6 +18,14 @@ def is_json_int(raw) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Refuse ``value`` unless a JSON integer (``is_json_int``), and not below ``least``."""
+    if not is_json_int(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def opinion_to_json(value):
     """Encode an opinion for JSON: ints pass through, Fractions become 'p/q'."""
     if isinstance(value, int):

@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from . import _engine
-from ._io import is_json_int
+from ._io import check_int, is_json_int
 from .network import InfluenceNetwork
 
 __all__ = [
@@ -197,8 +197,9 @@ def enumerate_maximal_cohesive_sets(
     Refuses networks larger than ``bound`` nodes (the search is exponential
     in the worst case).  The full node set always qualifies, so the result
     is never empty.  Sets are returned in a deterministic order (by size,
-    then members).
+    then members).  ``bound`` must be an integer.
     """
+    check_int("bound", bound)
     n = net.n
     if n > bound:
         raise ValueError(

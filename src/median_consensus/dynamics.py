@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import _engine
-from ._io import is_json_int
+from ._io import check_int, is_json_int
 from .network import InfluenceNetwork
 
 if TYPE_CHECKING:
@@ -51,14 +51,6 @@ def _rng(seed) -> np.random.Generator:
     import numpy
 
     return numpy.random.default_rng(seed)
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse ``value`` unless it is an integer of at least 1, as JSON has it."""
-    if not is_json_int(value):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
 
 
 def default_budget(n: int) -> int:
@@ -278,7 +270,7 @@ def run(net: InfluenceNetwork, x0: Sequence, schedule) -> Trajectory:
     state, table = _engine.encode_profile(vals)
     if isinstance(schedule, RandomSchedule):
         budget = schedule.budget if schedule.budget is not None else default_budget(net.n)
-        _check_count("budget", budget)
+        check_int("budget", budget, 1)
         rng = _rng(schedule.seed)
         ticks = _random_ticks(rng, net.n, budget)
     else:
@@ -408,11 +400,11 @@ def ensemble(
     once.  ``replicas``, ``budget`` and ``workers`` must be integers of at
     least 1.
     """
-    _check_count("replicas", replicas)
+    check_int("replicas", replicas, 1)
     eff_budget = budget if budget is not None else default_budget(net.n)
-    _check_count("budget", eff_budget)
+    check_int("budget", eff_budget, 1)
     eff_workers = workers if workers is not None else 1
-    _check_count("workers", eff_workers)
+    check_int("workers", eff_workers, 1)
     eff_workers = min(eff_workers, replicas)
     if not hasattr(x0_source, "draw"):
         # A fixed state's length and values are checked here, before any

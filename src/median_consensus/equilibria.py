@@ -14,23 +14,26 @@ from a zero in the network's unique sink component, and without one the
 answer is no before any search.  Agreeing members of a cohesive set never
 move, so ternary starts are the two-colourings by -1 and +1 of one graph
 joining the cohesive pairs, where a frozen node is its own partner.  The
-search and the enumeration of equilibria take every node update from one
-``_engine.LocalRule``, whose per-node memo computes each local pattern
-once.
+search takes every node update from one ``_engine.LocalRule``, whose
+per-node memo computes each local pattern once.  The enumeration of
+equilibria computes no median: it reads them off the settled cuts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import struct
 from dataclasses import dataclass
 
 from . import _engine
-from ._io import is_json_int, opinion_from_json, opinion_to_json
+from ._io import check_int, is_json_int, opinion_from_json, opinion_to_json
 from .cohesion import (
     DEFAULT_ENUMERATION_BOUND,
     _class_cuts_settled,
     _expand,
     _move,
+    _settled_cuts,
     has_nontrivial_maximal_cohesive_set,
     is_cohesive,
 )
@@ -82,12 +85,16 @@ def is_equilibrium_structural(net: InfluenceNetwork, x) -> bool:
 def enumerate_equilibria(
     net: InfluenceNetwork, opinion_values, *, max_states: int = DEFAULT_STATE_BUDGET
 ) -> list[tuple]:
-    """All equilibria over states drawn from a finite label domain.
+    """All equilibria over a finite label domain, in ``itertools.product``
+    order over the sorted labels.
 
-    Checks every state in ``opinion_values ** n`` against the fixed-point
-    condition, node by node until one moves, so it refuses when the state
-    count exceeds ``max_states``.  The values are read once and must be
-    distinct and mutually comparable.
+    Over labels l_0 < ... < l_{k-1}, x is an equilibrium iff each B_a =
+    {i : x_i <= l_{a-1}} is empty, every node, or a side of a settled cut
+    (``cohesion._settled_cuts``).  A depth-first walk up chains of those
+    sets, sets and states as ints with a field of bytes per node, gives
+    each state once and computes no median.  Values are read once and must be
+    distinct and mutually comparable; past the integer ``max_states``
+    states (k^n) it refuses before any search.
     """
     values = list(opinion_values)
     _, labels = _engine.encode_profile(values)
@@ -95,33 +102,33 @@ def enumerate_equilibria(
         raise ValueError("opinion_values must be distinct")
     if not labels:
         raise ValueError("need at least one opinion value")
-    n = net.n
-    count = len(labels) ** n
+    check_int("max_states", max_states)
+    n, k = net.n, len(labels)
+    count = k**n
     if count > max_states:
-        raise ValueError(
-            f"{len(labels)}^{n} = {count} states exceeds the budget {max_states}"
-        )
-    rule = _engine.LocalRule(net.integer_rows, len(labels))
-    rows, pack = rule.rows, rule.pack
-    out = []
-    for state in itertools.product(range(len(labels)), repeat=n):
-        s = None
-        for i, _, mask, memo in rule.nodes:
-            if memo is None:
-                new = _engine.update_value(rows, state, i)
-            else:
-                if s is None:
-                    s = pack(state)
-                key = s & mask
-                try:
-                    new = memo[key]
-                except KeyError:
-                    new = memo[key] = _engine.update_value(rows, state, i)
-            if new != state[i]:
-                break
-        else:
-            out.append(tuple(labels[v] for v in state))
-    return out
+        raise ValueError(f"{k}^{n} = {count} states exceeds the budget {max_states}")
+    if k == 1:
+        return [(labels[0],) * n]
+    # Field width in bytes and its struct code: ranks up to k - 1 must fit.
+    width, code = next((d, c) for d, c in zip((1, 2, 4, 8), "BHIQ") if k <= 256**d)
+    place = [1 << 8 * width * (n - 1 - i) for i in range(n)]
+    whole = sum(place)
+    cuts = [sum(itertools.compress(place, side)) for side in _settled_cuts(net)]
+    family = set(cuts).union([whole - c for c in cuts])
+    above = functools.cache(lambda top: [b for b in family if b & top == top != b])
+    # An entry is one state: nodes outside ``top`` hold rank k - 1, and each
+    # child moves those in a larger set ``b`` down to a rank above ``rank``.
+    keys = []
+    stack = [(0, -1, (k - 1) * whole)]
+    while stack:
+        top, rank, key = stack.pop()
+        keys.append(key)
+        if rank < k - 2:
+            ranks = range(rank + 1, k - 1)
+            stack += [(b, r, key - (k - 1 - r) * (b - top)) for b in above(top) for r in ranks]
+    unpack = struct.Struct(f">{n}{code}").unpack
+    size, label = n * width, labels.__getitem__
+    return [tuple(map(label, unpack(key.to_bytes(size, "big")))) for key in sorted(keys)]
 
 
 # -- classification ------------------------------------------------------------
@@ -176,10 +183,11 @@ def classify(
     (None); if ``mc_replicas`` > 0, seeded runs from an all-distinct initial
     state are used as falsification only -- an observed consensus proves
     consensus is reachable, absence of one proves nothing -- and the scope
-    notes say so.  A negative ``mc_replicas`` is rejected.
+    notes say so.  Bools, floats and a negative ``mc_replicas`` are refused.
     """
-    if mc_replicas < 0:
-        raise ValueError("mc_replicas must be at least 0")
+    check_int("cohesion_bound", cohesion_bound)
+    check_int("mc_replicas", mc_replicas, 0)
+    check_int("seed", seed)
     n = net.n
     exhaustive = n <= cohesion_bound
     scope: dict = {"cohesion_bound": cohesion_bound, "cohesion_exhaustive": exhaustive}
@@ -202,7 +210,7 @@ def classify(
             observed = False
             x0 = tuple(range(n))
             for r in range(mc_replicas):
-                traj = run(net, x0, RandomSchedule(seed=int(seed) + r, budget=eff_budget))
+                traj = run(net, x0, RandomSchedule(seed=seed + r, budget=eff_budget))
                 if traj.converged and len(set(traj.terminal)) == 1:
                     observed = True
                     break
@@ -373,8 +381,7 @@ def decide_consensus_reachable(
     certificate (initial state + shortest update sequence for it) is
     replayed before it is returned; a failed replay raises RuntimeError.
     """
-    if not is_json_int(bound):
-        raise ValueError("bound must be an integer")
+    check_int("bound", bound)
     n = net.n
     if n > bound:
         raise ValueError(
@@ -388,7 +395,7 @@ def decide_consensus_reachable(
     _reach([row[0] for row in net.integer_rows], witness, sink)
     partners = _blocking_partners(net)
     # Ranks 0, 1, 2 stand for -1, 0, +1, so the sign flip is ``full - s``.
-    rule = _engine.LocalRule(net.integer_rows, 3)
+    rule = _engine.LocalRule(net.integer_rows)
     low, high = _partner_masks(rule, partners)
     goal = rule.pack((1,) * n)
     dead: set = set()
@@ -473,7 +480,7 @@ def _shortest_path(rule, start, goal, dead, low, high):
     full = rule.full
     if min(start, full - start) in dead:
         return None
-    rows, field, unpack = rule.rows, rule.field, rule.unpack
+    rows, unpack = rule.rows, rule.unpack
     parents = {start: None}
     frontier = [start]
     while frontier:
@@ -493,7 +500,7 @@ def _shortest_path(rule, start, goal, dead, low, high):
                         if state is None:
                             state = unpack(s)
                         new = memo[key] = _engine.update_value(rows, state, i)
-                old = s >> sh & field
+                old = s >> sh & 3
                 if new == old:
                     continue
                 s2 = s + (new - old << sh)

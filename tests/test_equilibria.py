@@ -38,6 +38,7 @@ from median_consensus import (
     enumerate_equilibria,
     enumerate_maximal_cohesive_sets,
     fixtures,
+    has_nontrivial_maximal_cohesive_set,
     is_equilibrium,
     is_equilibrium_structural,
     run,
@@ -156,53 +157,27 @@ class TestIntegerThresholdsMatchFractionOracle:
                 assert is_equilibrium(net, state) == expected
 
     def test_successors_match_median_oracle(self):
-        # Fill every node's memo from a random profile, by a walk over its
-        # own ranks and by the decide search over ternary ranks, then check
-        # each entry: its key holds the node's and its row's ranks, and
-        # those decide the median.
+        # Fill every node's memo by the decide search from a random ternary
+        # state, then check each entry: its key holds the node's and its
+        # row's ranks, and those decide the median.
         checked = 0
         for rnd, net in chain(
             differential_networks(0x5CC, 40), covering_networks(0x5CD, 12)
         ):
-            state, table = _engine.encode_profile(random_profile(rnd, net.n))
             ternary = [rnd.randint(0, 2) for _ in range(net.n)]
-            walked = _engine.LocalRule(net.integer_rows, len(table))
-            fill_memos(walked, walked.pack(state))
-            searched = _engine.LocalRule(net.integer_rows, 3)
-            goal = searched.pack((1,) * net.n)
+            rule = _engine.LocalRule(net.integer_rows)
+            goal = rule.pack((1,) * net.n)
             partners = _blocking_partners(net)
-            _shortest_path(
-                searched, searched.pack(ternary), goal, set(), *_partner_masks(searched, partners)
-            )
-            for levels, rule in ((len(table), walked), (3, searched)):
-                for i, _, _, memo in rule.nodes:
-                    covers_all = {i, *net.out_neighbors(i)} == set(range(net.n))
-                    assert (memo is None) == (covers_all or levels == 1)
-                    weights = [net.weight(i, j) for j in range(net.n)]
-                    for key, new in (memo or {}).items():
-                        ranks = rule.unpack(key)
-                        assert new == closest_weighted_median(ranks, weights, ranks[i])
-                        checked += 1
-        assert checked > 500
-
-
-def fill_memos(rule, start):
-    """Visit every state reachable from packed ``start``, storing each
-    node's update in its memo under the state's masked key, as
-    ``enumerate_equilibria`` does."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        state = rule.unpack(s)
-        for i, sh, mask, memo in rule.nodes:
-            new = _engine.update_value(rule.rows, state, i)
-            if memo is not None:
-                memo[s & mask] = new
-            s2 = s + (new - state[i] << sh)
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
+            _shortest_path(rule, rule.pack(ternary), goal, set(), *_partner_masks(rule, partners))
+            for i, _, _, memo in rule.nodes:
+                covers_all = {i, *net.out_neighbors(i)} == set(range(net.n))
+                assert (memo is None) == covers_all
+                weights = [net.weight(i, j) for j in range(net.n)]
+                for key, new in (memo or {}).items():
+                    ranks = rule.unpack(key)
+                    assert new == closest_weighted_median(ranks, weights, ranks[i])
+                    checked += 1
+        assert checked > 400
 
 
 class TestEnumerateEquilibria:
@@ -249,6 +224,33 @@ class TestEnumerateEquilibria:
             labels = ("lo", "mid", "hi") if k % 2 else (0, 1, 2, 3)[: 2 + k % 3]
             if len(labels) ** net.n <= 5000:
                 assert enumerate_equilibria(net, labels) == product_equilibria(net, labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_networks(), st.integers(1, 4), st.booleans())
+    def test_matches_product_oracle(self, net, k, named):
+        while k**net.n > 4096:
+            k -= 1
+        labels = ("lo", "mid", "hi", "top")[:k] if named else range(k - 1, -1, -1)
+        assert enumerate_equilibria(net, labels) == product_equilibria(net, labels)
+
+    def test_clique_constant_states_past_the_cohesion_bound(self):
+        # n = 18 exceeds enumerate_maximal_cohesive_sets' bound; the walk
+        # reads the cuts directly.  Each clique holds one label.
+        net = fixtures.disjoint_cliques(3, 6)
+        blocks = product((0, 1), repeat=6)
+        expected = [tuple(v for v in labels for _ in range(3)) for labels in blocks]
+        assert enumerate_equilibria(net, (0, 1)) == expected
+
+    def test_ranks_past_one_byte(self):
+        # Past 256 labels a rank takes two bytes, and past 65,536 four.
+        follower = InfluenceNetwork.from_rows([[F(1), F(0)], [F(1), F(0)]])
+        assert enumerate_equilibria(follower, range(299, -1, -1)) == [(v, v) for v in range(300)]
+        single = fixtures.self_loop_nodes(1)
+        assert enumerate_equilibria(single, range(70_000)) == [(v,) for v in range(70_000)]
+
+    def test_one_label_needs_no_cut_search(self):
+        net = fixtures.lattice(100, 100)
+        assert enumerate_equilibria(net, ["only"]) == [("only",) * 10_000]
 
     def test_members_all_satisfy_structural_acceptor(self):
         rnd = random.Random(0x97)
@@ -301,6 +303,30 @@ class TestClassify:
     def test_negative_mc_replicas_rejected(self):
         with pytest.raises(ValueError, match="mc_replicas"):
             classify(fixtures.complete_uniform(20), mc_replicas=-1)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("mc_replicas", lambda net: classify(
+                fixtures.complete_uniform(20), cohesion_bound=4, mc_replicas=True
+            )),
+            ("mc_replicas", lambda net: classify(net, mc_replicas=1.5)),
+            ("cohesion_bound", lambda net: classify(net, cohesion_bound=2.5)),
+            ("seed", lambda net: classify(net, cohesion_bound=2, mc_replicas=1, seed=1.5)),
+            ("max_states", lambda net: enumerate_equilibria(net, range(3), max_states=30.5)),
+            ("bound", lambda net: enumerate_maximal_cohesive_sets(net, bound=None)),
+            ("bound", lambda net: has_nontrivial_maximal_cohesive_set(net, bound="4")),
+        ],
+        ids=[
+            "classify-replicas-bool", "classify-replicas-float", "classify-bound-float",
+            "classify-seed-float", "enumerate-max-states-float", "cohesion-bound-none",
+            "nontrivial-bound-str",
+        ],
+    )
+    def test_integer_parameters_refuse_bools_and_floats(self, name, call):
+        # The rule of ensemble's counts and decide's bound: a JSON integer.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+            call(fixtures.complete_uniform(3))
 
     def test_undecided_beyond_bound_with_falsification(self):
         rep = classify(fixtures.complete_uniform(6), cohesion_bound=3, mc_replicas=40, seed=4)
@@ -699,7 +725,7 @@ class TestPairConsistentStarts:
         nets += [fixtures.self_loop_nodes(1), fixtures.self_loop_nodes(3)]
         for net in nets:
             frozen, pairs = oracle_frozen_nodes(net), oracle_cohesive_pairs(net)
-            rule = _engine.LocalRule(net.integer_rows, 3)
+            rule = _engine.LocalRule(net.integer_rows)
             partners = _blocking_partners(net)
             for z in range(net.n):
                 expected = list(product_starts(net.n, z, frozen, pairs))
@@ -711,7 +737,7 @@ class TestPairConsistentStarts:
         # none; an odd cycle of pairs needs the zero on the cycle.
         counts = []
         for net in frozen_and_cycle_networks():
-            rule = _engine.LocalRule(net.integer_rows, 3)
+            rule = _engine.LocalRule(net.integer_rows)
             partners = _blocking_partners(net)
             counts.append([len(list(_starts(rule, z, partners))) for z in range(net.n)])
         assert counts[0] == [4, 0, 0, 0]
@@ -736,7 +762,7 @@ class TestPairConsistentStarts:
         # partners holds it, on every ternary state of small networks.
         checked = 0
         for rnd, net in oracle_corpus():
-            rule = _engine.LocalRule(net.integer_rows, 3)
+            rule = _engine.LocalRule(net.integer_rows)
             partners = _blocking_partners(net)
             low, high = _partner_masks(rule, partners)
             for ranks in product(range(3), repeat=min(net.n, 4)):
@@ -758,7 +784,7 @@ class TestPairConsistentStarts:
         )
         partners = _blocking_partners(net)
         assert partners == [[1, 2], [0, 2], [0, 1], [3]]
-        rule = _engine.LocalRule(net.integer_rows, 3)
+        rule = _engine.LocalRule(net.integer_rows)
         assert list(_starts(rule, 3, partners)) == []
         # With the zero on the cycle, the frozen node 3 blocks every start.
         assert list(_starts(rule, 0, partners)) == []
@@ -782,9 +808,10 @@ def update_value_calls(monkeypatch):
 
 
 class TestSearchWork:
-    """Exact work counts: a change that drops the memo, the cohesive-pair
-    prune or the sign-flip symmetry of the dead-state cache keeps every
-    verdict and only costs time, so the counts are what shows it."""
+    """Exact work counts of ``decide``: a change that drops the memo, the
+    cohesive-pair prune or the sign-flip symmetry of the dead-state cache
+    keeps every verdict and only costs time, so the counts are what shows
+    it."""
 
     def test_decide_without_consensus(self, update_value_calls):
         # No node is globally reachable, so no zero position can spread.
@@ -809,10 +836,6 @@ class TestSearchWork:
         net = build_svc_graph(inst).network
         assert decide_consensus_reachable(net, bound=net.n) == (False, None)
         assert update_value_calls[0] == 66
-
-    def test_enumerate_equilibria(self, update_value_calls):
-        assert len(enumerate_equilibria(fixtures.lattice(3, 3), range(3))) == 947
-        assert update_value_calls[0] == 675
 
 
 @pytest.fixture
@@ -878,7 +901,17 @@ class TestCohesionWork:
     """Exact work counts of the listener-mass kernels: one ``listener_weights``
     row read per placement or undo of the cut search, and none of the margin
     rescans they replace.  A search that checks cuts only once every node is
-    placed finds the same sets and reads far more rows."""
+    placed finds the same sets and reads far more rows.  The enumeration of
+    equilibria runs on that search alone, with no median computed."""
+
+    def test_enumerate_equilibria(self, margin_calls, update_value_calls):
+        net = fixtures.lattice(3, 3)
+        rows = counted_listener_rows(net)
+        assert len(enumerate_equilibria(net, range(3))) == 947
+        # One row per placement and undo of the cut search, read once.
+        assert rows.reads == 359
+        assert update_value_calls[0] == 0
+        assert margin_calls[0] == 0
 
     def test_enumerate_lattice(self, margin_calls):
         net = fixtures.lattice(4, 4)
