@@ -14,19 +14,13 @@ median is the first rank, in order, whose cumulative mass reaches half
 (``lower_median``), and the interval also takes the next rank when that
 mass is exactly half (``median_of``).  ``update_value`` builds the table
 from a whole row and is the oracle for single steps, equilibrium checks and
-the searches.  Runs keep one table per node instead, with its occupied
-ranks in order, its lower median and the mass at or below it, all set up
-by ``lower_median``.  On each opinion change they move the changed node's
-weight from its old rank to its new one in every listener's table and walk
-the listener's lower median to an adjacent occupied rank as needed, so a
-change costs one entry per listener rather than a sort of every listener's
-table.
-
-The one exhaustive search, ``decide``'s, visits many ternary states that
-differ in a few nodes, so it uses ``LocalRule``: a state packed into one
-int, and per node a memo from the node's own and its row's fields to its
-new rank.  Every memo entry is filled by ``update_value``, so the search
-still follows the one rule.
+every memo entry of ``decide``'s search.  Runs keep one table per node
+instead, with its occupied ranks in order, its lower median and the mass at
+or below it, all set up by ``lower_median``.  On each opinion change they
+move the changed node's weight from its old rank to its new one in every
+listener's table and walk the listener's lower median to an adjacent
+occupied rank as needed, so a change costs one entry per listener rather
+than a sort of every listener's table.
 """
 
 from __future__ import annotations
@@ -117,37 +111,3 @@ def update_value(int_rows, state, i):
     row = int_rows[i]
     return median_of(row_masses(row, state), row[2], state[i])
 
-
-class LocalRule:
-    """Packed ternary states, with a memoised update per node.
-
-    A state is one int: node i's rank, 0, 1 or 2, sits in the two bits from
-    bit ``2 * i``.  Node i's update reads only the fields of ``{i, *row}``,
-    the bits of its mask, so node i's memo maps ``s & mask`` to its new rank
-    and is filled on first use by ``update_value`` on the unpacked state.  A
-    node whose row covers every node gets no memo (None): its key is the
-    whole state, which a search never meets twice.  Reversing the rank
-    order maps ``s`` to ``full - s``, where every field of ``full`` is 2.
-
-    ``nodes`` holds ``(i, shift, mask, memo)`` per node in index order.
-    """
-
-    __slots__ = ("rows", "shifts", "full", "nodes")
-
-    def __init__(self, int_rows):
-        n = len(int_rows)
-        self.rows = int_rows
-        self.shifts = shifts = [2 * i for i in range(n)]
-        self.full = sum(2 << sh for sh in shifts)
-        whole = (1 << 2 * n) - 1
-        # A set, so that a self-loop does not count node i's field twice.
-        masks = [sum(3 << shifts[j] for j in {i, *row[0]}) for i, row in enumerate(int_rows)]
-        self.nodes = tuple(
-            (i, shifts[i], m, None if m == whole else {}) for i, m in enumerate(masks)
-        )
-
-    def pack(self, ranks) -> int:
-        return sum(r << 2 * i for i, r in enumerate(ranks))
-
-    def unpack(self, s: int) -> tuple:
-        return tuple([s >> sh & 3 for sh in self.shifts])

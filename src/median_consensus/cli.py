@@ -23,6 +23,7 @@ from .cohesion import DEFAULT_ENUMERATION_BOUND, enumerate_maximal_cohesive_sets
 from .dynamics import (
     GridUniform,
     LabelUniform,
+    RandomSchedule,
     Trajectory,
     _draw_initial,
     _rng,
@@ -33,6 +34,7 @@ from .dynamics import (
 from .equilibria import (
     ConsensusCertificate,
     DEFAULT_DECISION_BOUND,
+    DEFAULT_STATE_BUDGET,
     build_update_sequence,
     classify,
     decide_consensus_reachable,
@@ -172,8 +174,6 @@ def cmd_simulate(args) -> int:
     else:
         if args.seed is None:
             raise ValueError("simulate needs --seed or --schedule")
-        from .dynamics import RandomSchedule
-
         traj = run(net, x0, RandomSchedule(seed=args.seed, budget=args.budget))
     if args.emit == "csv":
         _emit(args, _trajectory_csv(traj))
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibria", help="enumerate equilibria over a label domain")
     _add_network_args(p)
     p.add_argument("--labels", type=int, default=2, help="number of opinion labels")
-    p.add_argument("--max-states", type=int, default=10**6, dest="max_states")
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_BUDGET, dest="max_states")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_equilibria)
 

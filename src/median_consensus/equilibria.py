@@ -14,9 +14,11 @@ from a zero in the network's unique sink component, and without one the
 answer is no before any search.  Agreeing members of a cohesive set never
 move, so ternary starts are the two-colourings by -1 and +1 of one graph
 joining the cohesive pairs, where a frozen node is its own partner.  The
-search takes every node update from one ``_engine.LocalRule``, whose
-per-node memo computes each local pattern once.  The enumeration of
-equilibria computes no median: it reads them off the settled cuts.
+search packs a state into one int, two bits per node, and keeps each
+node's search data in one row of ``_node_table``: its field mask, a memo
+that computes each local pattern once, and its partners' field bits.  The
+enumeration of equilibria computes no median: it reads them off the
+settled cuts.
 """
 
 from __future__ import annotations
@@ -373,13 +375,13 @@ def decide_consensus_reachable(
     breadth-first exploration from each start of ``_starts``, the sign
     patterns in which no blocking partners agree; the search also prunes
     states where a moved node comes to agree with a partner.  Every start
-    goes through ``_shortest_path`` on one ternary ``_engine.LocalRule``,
-    so node updates are memoised and states proven unable to reach
-    all-zero are cached across starts, up to flipping every sign.
-    ``bound`` must be an integer, and a network past it is refused before
-    anything else.  On success the
-    certificate (initial state + shortest update sequence for it) is
-    replayed before it is returned; a failed replay raises RuntimeError.
+    goes through ``_shortest_path`` on one ``_node_table``, so node updates
+    are memoised and states proven unable to reach all-zero are cached
+    across starts, up to flipping every sign.  ``bound`` must be an
+    integer, and a network past it is refused before anything else.  On
+    success the certificate (initial state + shortest update sequence for
+    it) is replayed before it is returned; a failed replay raises
+    RuntimeError.
     """
     check_int("bound", bound)
     n = net.n
@@ -391,20 +393,20 @@ def decide_consensus_reachable(
     reachable, witness = has_globally_reachable_node(net)
     if not reachable:
         return False, None
+    rows = net.integer_rows
     sink = [False] * n
-    _reach([row[0] for row in net.integer_rows], witness, sink)
+    _reach([row[0] for row in rows], witness, sink)
     partners = _blocking_partners(net)
-    # Ranks 0, 1, 2 stand for -1, 0, +1, so the sign flip is ``full - s``.
-    rule = _engine.LocalRule(net.integer_rows)
-    low, high = _partner_masks(rule, partners)
-    goal = rule.pack((1,) * n)
+    table = _node_table(rows, partners)
+    # Ranks 0, 1, 2 stand for -1, 0, +1 in the two bits from bit 2 * i.
+    goal = sum(1 << 2 * i for i in range(n))
     dead: set = set()
 
     for z in itertools.compress(range(n), sink):
-        for start in _starts(rule, z, partners):
-            path = _shortest_path(rule, start, goal, dead, low, high)
+        for start in _starts(z, partners):
+            path = _shortest_path(rows, table, start, goal, dead)
             if path is not None:
-                initial = tuple(v - 1 for v in rule.unpack(start))
+                initial = tuple((start >> 2 * i & 3) - 1 for i in range(n))
                 cert = ConsensusCertificate(initial=initial, sequence=path, target_time=len(path))
                 if not verify_certificate(net, cert):
                     raise RuntimeError("consensus certificate failed replay verification")
@@ -412,19 +414,26 @@ def decide_consensus_reachable(
     return False, None
 
 
-def _partner_masks(rule, partners: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Per node, its partners' fields as masks of their low and high bits.
+def _node_table(rows, partners: list[list[int]]) -> tuple:
+    """Per node, ``(i, 2 * i, mask, memo, low, high)`` for ``_shortest_path``.
 
-    A ternary field is 00, 01 or 10, so a partner at +1 shows in ``s &
-    high[i]`` and one at -1 in ``~(s | s >> 1) & low[i]``.
+    Node i's rank sits in the two bits from bit ``2 * i``.  Its update reads
+    only the fields of ``{i, *row}``, the bits of ``mask``, so ``memo`` maps
+    ``s & mask`` to its new rank; it is None when ``mask`` covers every
+    field, as that key is the whole state, which a search never meets twice.
+    ``low`` and ``high`` hold the low and high bits of its partners' fields.
     """
-    shifts = rule.shifts
-    low = [sum(1 << shifts[p] for p in ps) for ps in partners]
-    high = [low_i << 1 for low_i in low]
-    return low, high
+    whole = (1 << 2 * len(rows)) - 1
+    table = []
+    for i, row in enumerate(rows):
+        # A set, so that a self-loop does not count node i's field twice.
+        mask = sum(3 << 2 * j for j in {i, *row[0]})
+        low = sum(1 << 2 * p for p in partners[i])
+        table.append((i, 2 * i, mask, None if mask == whole else {}, low, low << 1))
+    return tuple(table)
 
 
-def _starts(rule, z: int, partners: list[list[int]]):
+def _starts(z: int, partners: list[list[int]]):
     """Packed ternary starts with zero at ``z`` where no partners agree.
 
     These are the two-colourings by -1 and +1 of the partner graph without
@@ -434,7 +443,6 @@ def _starts(rule, z: int, partners: list[list[int]]):
     the dynamics, so the first keeps only -1.  Starts thus come in
     ``itertools.product`` order over the signs, without the blocked ones.
     """
-    shifts = rule.shifts
     sign = {z: 0}
     choices = []
     for root in range(len(partners)):
@@ -445,8 +453,8 @@ def _starts(rule, z: int, partners: list[list[int]]):
         low = high = 0
         while stack:
             i = stack.pop()
-            low += sign[i] + 1 << shifts[i]
-            high += 1 - sign[i] << shifts[i]
+            low += sign[i] + 1 << 2 * i
+            high += 1 - sign[i] << 2 * i
             for j in partners[i]:
                 if j not in sign:
                     sign[j] = -sign[i]
@@ -454,43 +462,44 @@ def _starts(rule, z: int, partners: list[list[int]]):
                 elif sign[j] == sign[i]:
                     return
         choices.append((low, high) if choices else (low,))
-    base = 1 << shifts[z]
+    base = 1 << 2 * z
     for picks in itertools.product(*choices):
         yield base + sum(picks)
 
 
-def _shortest_path(rule, start, goal, dead, low, high):
+def _shortest_path(rows, table, start, goal, dead):
     """Shortest update sequence from packed ternary ``start`` to ``goal``.
 
-    Breadth-first over the moves of ``rule`` (an ``_engine.LocalRule`` on
-    ranks 0, 1, 2 for -1, 0, +1), expanding each state's nodes in index
-    order; a start equal to ``goal`` gives the empty sequence.  ``dead``
-    holds states that cannot reach the goal, each under the smaller of it
-    and its sign flip ``rule.full - s`` (the dynamics and the all-zero goal
-    commute with flipping every sign); a failed search adds every state it
-    saw.  A successor whose updated node now agrees on a nonzero sign with
-    one of its blocking partners is dead too, since neither ever moves
-    again.  ``low`` and ``high`` (``_partner_masks``) hold per node its
-    partners' low and high field bits, so that check is two ANDs on the
-    2-bit fields: +1 (10) shows in ``high``, and -1 (00) is a field with
-    neither bit set.  Returns the node tuple or None.
+    Breadth-first over single-node updates on ranks 0, 1, 2 for -1, 0, +1,
+    expanding each state's nodes in index order, each with its row of
+    ``table`` (``_node_table``); a start equal to ``goal`` gives the empty
+    sequence.  Memo misses call ``_engine.update_value`` on the unpacked
+    state.  ``dead`` holds states that cannot reach the goal, each under
+    the smaller of it and its sign flip ``full - s``, where every field of
+    ``full = 2 * goal`` is 2 (the dynamics and the all-zero goal commute
+    with flipping every sign); a failed search adds every state it saw.  A
+    successor whose updated node now agrees on a nonzero sign with one of
+    its blocking partners is dead too, since neither ever moves again.
+    That check is two ANDs with the node's ``low`` and ``high``: +1 (10)
+    shows in ``high``, and -1 (00) is a field with neither bit set.
+    Returns the node tuple or None.
     """
     if start == goal:
         return ()
-    full = rule.full
+    full = 2 * goal
     if min(start, full - start) in dead:
         return None
-    rows, unpack = rule.rows, rule.unpack
+    shifts = range(0, 2 * len(rows), 2)
     parents = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
             state = None
-            for i, sh, mask, memo in rule.nodes:
+            for i, sh, mask, memo, low, high in table:
                 if memo is None:
                     if state is None:
-                        state = unpack(s)
+                        state = [s >> k & 3 for k in shifts]
                     new = _engine.update_value(rows, state, i)
                 else:
                     key = s & mask
@@ -498,7 +507,7 @@ def _shortest_path(rule, start, goal, dead, low, high):
                         new = memo[key]
                     except KeyError:
                         if state is None:
-                            state = unpack(s)
+                            state = [s >> k & 3 for k in shifts]
                         new = memo[key] = _engine.update_value(rows, state, i)
                 old = s >> sh & 3
                 if new == old:
@@ -511,7 +520,7 @@ def _shortest_path(rule, start, goal, dead, low, high):
                     canon = s2
                 if canon in dead:
                     continue
-                if new == 2 and s2 & high[i] or new == 0 and ~(s2 | s2 >> 1) & low[i]:
+                if new == 2 and s2 & high or new == 0 and ~(s2 | s2 >> 1) & low:
                     dead.add(canon)
                     continue
                 parents[s2] = (s, i)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._io import check_int, is_json_int
 from .equilibria import ConsensusCertificate, decide_consensus_reachable, verify_certificate
 from .network import InfluenceNetwork, network_to_json_dict
 
@@ -46,13 +47,15 @@ class Nae3SatInstance:
     Clauses may repeat a variable; a clause repeating one variable three
     times is representable (and trivially unsatisfiable) but is rejected by
     the file parser and by the gadget construction, which require at most
-    two equal indices per clause.
+    two equal indices per clause.  ``num_vars`` and every index must be
+    integers; bools and floats are refused.
     """
 
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        check_int("num_vars", self.num_vars)
         if self.num_vars < 1:
             raise ValueError("instance needs at least one variable")
         if not self.clauses:
@@ -62,7 +65,7 @@ class Nae3SatInstance:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause!r} must have exactly three indices")
             for k in clause:
-                if not isinstance(k, int) or not 1 <= k <= self.num_vars:
+                if not is_json_int(k) or not 1 <= k <= self.num_vars:
                     raise ValueError(f"variable index {k!r} out of range 1..{self.num_vars}")
                 used.add(k)
         if len(used) < self.num_vars:

@@ -33,7 +33,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._io import is_json_int, read_json
+from ._io import atomic_write_text, is_json_int, read_json
 from .median import to_fraction
 
 __all__ = [
@@ -320,35 +320,34 @@ def network_to_json_dict(net: InfluenceNetwork) -> dict:
     }
 
 
-def load_network(path, fmt: str | None = None) -> InfluenceNetwork:
-    """Load a network file; format inferred from the suffix unless given."""
-    path = Path(path)
+def _file_format(path: Path, fmt: str | None) -> str:
+    """``fmt``, or else the format named by the suffix: ``.csv`` or ``.json``."""
     if fmt is None:
-        suffix = path.suffix.lower()
-        fmt = {"": None, ".json": "json", ".csv": "csv"}.get(suffix)
+        fmt = {".json": "json", ".csv": "csv"}.get(path.suffix.lower())
         if fmt is None:
             raise NetworkFormatError(
                 f"cannot infer format from {path.name!r}; pass fmt='csv' or 'json'"
             )
-    if fmt == "csv":
+    if fmt not in ("csv", "json"):
+        raise NetworkFormatError(f"unknown network format {fmt!r}")
+    return fmt
+
+
+def load_network(path, fmt: str | None = None) -> InfluenceNetwork:
+    """Load a network file; format inferred from the suffix unless given."""
+    path = Path(path)
+    if _file_format(path, fmt) == "csv":
         return network_from_csv_text(path.read_text())
-    if fmt == "json":
-        return network_from_json_dict(read_json(path, NetworkFormatError))
-    raise NetworkFormatError(f"unknown network format {fmt!r}")
+    return network_from_json_dict(read_json(path, NetworkFormatError))
 
 
 def save_network(net: InfluenceNetwork, path, fmt: str | None = None) -> None:
-    from ._io import atomic_write_text
-
+    """Write a network file atomically; format inferred as by ``load_network``."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    if fmt == "json":
-        text = json.dumps(network_to_json_dict(net), indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    if _file_format(path, fmt) == "csv":
         text = network_to_csv_text(net)
     else:
-        raise NetworkFormatError(f"unknown network format {fmt!r}")
+        text = json.dumps(network_to_json_dict(net), indent=2, sort_keys=True) + "\n"
     atomic_write_text(path, text)
 
 

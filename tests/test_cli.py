@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_COUNT, peak_allocation, python_child
-from median_consensus import cli, fixtures
+from median_consensus import cli, equilibria, fixtures
 from median_consensus.network import save_network
 
 
@@ -212,6 +212,13 @@ class TestEquilibria:
         payload = _capture(capsys)
         assert rc == 0
         assert payload["result"]["count"] == 4
+
+    def test_state_budget_defaults_to_the_library(self, monkeypatch):
+        # The CLI keeps no second copy of the library's budget.
+        monkeypatch.setattr(cli, "DEFAULT_STATE_BUDGET", 3)
+        args = cli.build_parser().parse_args(["equilibria", "--network", "x.csv"])
+        assert args.max_states == 3
+        assert equilibria.DEFAULT_STATE_BUDGET == 10**6
 
 
 class TestSequenceAndReplay:

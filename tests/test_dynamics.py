@@ -396,6 +396,21 @@ class TestEnsemble:
                 ensemble(fixtures.complete_uniform(4), state, replicas=4, seed=1,
                          workers=workers)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, True], ids=["none", "float", "bool"])
+    def test_seeds_follow_the_integer_rule(self, no_replica_runs, monkeypatch, seed):
+        # Checked before any draw: a None seed would draw from OS entropy,
+        # and True would run as seed 1.
+        def no_draw(seed):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(dynamics, "_rng", no_draw)
+        net = fixtures.complete_uniform(3)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            run(net, (0, 1, 2), RandomSchedule(seed=seed))
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                ensemble(net, LabelUniform(3), 2, seed, workers=workers)
+
     def test_census_matches_decoded_terminals(self):
         # Every replica is rerun here through ``run`` on the ticks its own
         # generator yields after the draw, and the census is taken from the

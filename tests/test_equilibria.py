@@ -46,13 +46,22 @@ from median_consensus import (
 )
 from median_consensus.equilibria import (
     _blocking_partners,
-    _partner_masks,
+    _node_table,
     _shortest_path,
     _starts,
 )
 from median_consensus.median import closest_weighted_median
 
 HALF = F(1, 2)
+
+
+def pack(ranks) -> int:
+    """A packed search state: node i's rank in the two bits from bit 2 * i."""
+    return sum(r << 2 * i for i, r in enumerate(ranks))
+
+
+def unpack(s: int, n: int) -> tuple:
+    return tuple(s >> 2 * i & 3 for i in range(n))
 
 
 def differential_networks(seed, count):
@@ -165,16 +174,15 @@ class TestIntegerThresholdsMatchFractionOracle:
             differential_networks(0x5CC, 40), covering_networks(0x5CD, 12)
         ):
             ternary = [rnd.randint(0, 2) for _ in range(net.n)]
-            rule = _engine.LocalRule(net.integer_rows)
-            goal = rule.pack((1,) * net.n)
-            partners = _blocking_partners(net)
-            _shortest_path(rule, rule.pack(ternary), goal, set(), *_partner_masks(rule, partners))
-            for i, _, _, memo in rule.nodes:
+            rows = net.integer_rows
+            table = _node_table(rows, _blocking_partners(net))
+            _shortest_path(rows, table, pack(ternary), pack((1,) * net.n), set())
+            for i, _, _, memo, _, _ in table:
                 covers_all = {i, *net.out_neighbors(i)} == set(range(net.n))
                 assert (memo is None) == covers_all
                 weights = [net.weight(i, j) for j in range(net.n)]
                 for key, new in (memo or {}).items():
-                    ranks = rule.unpack(key)
+                    ranks = unpack(key, net.n)
                     assert new == closest_weighted_median(ranks, weights, ranks[i])
                     checked += 1
         assert checked > 400
@@ -725,11 +733,10 @@ class TestPairConsistentStarts:
         nets += [fixtures.self_loop_nodes(1), fixtures.self_loop_nodes(3)]
         for net in nets:
             frozen, pairs = oracle_frozen_nodes(net), oracle_cohesive_pairs(net)
-            rule = _engine.LocalRule(net.integer_rows)
             partners = _blocking_partners(net)
             for z in range(net.n):
                 expected = list(product_starts(net.n, z, frozen, pairs))
-                starts = [tuple(v - 1 for v in rule.unpack(s)) for s in _starts(rule, z, partners)]
+                starts = [tuple(v - 1 for v in unpack(s, net.n)) for s in _starts(z, partners)]
                 assert starts == expected
 
     def test_frozen_and_cycle_networks(self):
@@ -737,9 +744,8 @@ class TestPairConsistentStarts:
         # none; an odd cycle of pairs needs the zero on the cycle.
         counts = []
         for net in frozen_and_cycle_networks():
-            rule = _engine.LocalRule(net.integer_rows)
             partners = _blocking_partners(net)
-            counts.append([len(list(_starts(rule, z, partners))) for z in range(net.n)])
+            counts.append([len(list(_starts(z, partners))) for z in range(net.n)])
         assert counts[0] == [4, 0, 0, 0]
         assert counts[1] == [0] * 4
         assert counts[2] == [2, 2, 2, 0, 0]
@@ -758,20 +764,20 @@ class TestPairConsistentStarts:
         assert 0 < reachable < len(nets)
 
     def test_partner_masks_match_partner_fields(self):
-        # The two masks flag a node's new sign exactly when one of its
-        # partners holds it, on every ternary state of small networks.
+        # A node's ``low`` and ``high`` in the search table flag its new
+        # sign exactly when one of its partners holds it, on every ternary
+        # state of small networks.
         checked = 0
         for rnd, net in oracle_corpus():
-            rule = _engine.LocalRule(net.integer_rows)
             partners = _blocking_partners(net)
-            low, high = _partner_masks(rule, partners)
+            table = _node_table(net.integer_rows, partners)
             for ranks in product(range(3), repeat=min(net.n, 4)):
                 ranks = (*ranks, *(rnd.randint(0, 2) for _ in range(net.n - len(ranks))))
-                s = rule.pack(ranks)
-                for i in range(net.n):
+                s = pack(ranks)
+                for i, _, _, _, low, high in table:
                     held = {ranks[p] for p in partners[i]}
-                    assert bool(s & high[i]) == (2 in held)
-                    assert bool(~(s | s >> 1) & low[i]) == (0 in held)
+                    assert bool(s & high) == (2 in held)
+                    assert bool(~(s | s >> 1) & low) == (0 in held)
                     checked += 1
         assert checked > 10_000
 
@@ -784,10 +790,9 @@ class TestPairConsistentStarts:
         )
         partners = _blocking_partners(net)
         assert partners == [[1, 2], [0, 2], [0, 1], [3]]
-        rule = _engine.LocalRule(net.integer_rows)
-        assert list(_starts(rule, 3, partners)) == []
+        assert list(_starts(3, partners)) == []
         # With the zero on the cycle, the frozen node 3 blocks every start.
-        assert list(_starts(rule, 0, partners)) == []
+        assert list(_starts(0, partners)) == []
         assert decide_consensus_reachable(net) == (False, None)
         assert decide_consensus_reachable(net) == (False, None)
 

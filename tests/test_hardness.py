@@ -53,6 +53,21 @@ class TestInstances:
 
         assert peak_allocation(refused) < 1_000_000
 
+    @pytest.mark.parametrize(
+        "num_vars, clauses, message",
+        [
+            (2, ((True, 2, 2),), "variable index True out of range"),
+            (3, ((1, 2.0, 3),), "variable index 2.0 out of range"),
+            (2.0, ((1, 1, 2),), "num_vars must be an integer"),
+            (True, ((1, 1, 1),), "num_vars must be an integer"),
+        ],
+        ids=["bool-literal", "float-literal", "float-count", "bool-count"],
+    )
+    def test_bools_and_floats_refused(self, num_vars, clauses, message):
+        # One integer rule, as for node numbers: True is not variable 1.
+        with pytest.raises(ValueError, match=message):
+            Nae3SatInstance(num_vars=num_vars, clauses=clauses)
+
     def test_clause_count_mismatch(self):
         with pytest.raises(ValueError):
             parse_instance_text("p nae3sat 2 2\n1 1 2\n")

@@ -331,6 +331,21 @@ class TestFormats:
             load_network(path)
         assert load_network(path, fmt="csv").n == 3
 
+    def test_save_unknown_suffix_needs_fmt(self, tmp_path):
+        # One suffix rule for both directions: nothing is saved that
+        # ``load_network`` would refuse to read back.
+        net = fixtures.complete_uniform(3)
+        for name in ("net.txt", "net"):
+            path = tmp_path / name
+            with pytest.raises(NetworkFormatError, match="cannot infer format"):
+                save_network(net, path)
+            assert not path.exists()
+            save_network(net, path, fmt="csv")
+            assert load_network(path, fmt="csv") == net
+        for io in (lambda p: save_network(net, p, fmt="xml"), lambda p: load_network(p, "xml")):
+            with pytest.raises(NetworkFormatError, match="unknown network format 'xml'"):
+                io(tmp_path / "net.csv")
+
     def test_dot_marks_decisiveness(self):
         net = InfluenceNetwork.from_rows([[F(3, 5), F(2, 5)], [F(0), F(1)]])
         dot = network_to_dot(net, decisive_subgraph(net))
