@@ -61,4 +61,4 @@ print("complete uniform n=6 maximal cohesive sets:",
 print()
 
 print("DOT export (first lines):")
-print("\n".join(network_to_dot(net, sub).splitlines()[:6]))
+print("\n".join(network_to_dot(net).splitlines()[:6]))

@@ -18,7 +18,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._io import atomic_write_text, is_json_int, opinion_from_json, opinion_to_json, read_json
+from ._io import (
+    atomic_write_text, check_int, is_json_int, opinion_from_json, opinion_to_json, read_json
+)
 from .cohesion import DEFAULT_ENUMERATION_BOUND, enumerate_maximal_cohesive_sets
 from .dynamics import (
     GridUniform,
@@ -147,7 +149,8 @@ def _resolve_initial(source, n: int, seed):
     if hasattr(source, "draw"):
         if seed is None:
             raise ValueError("a random initial distribution needs --seed")
-        rng = _rng([int(seed), 0])
+        check_int("seed", seed, 0)
+        rng = _rng([seed, 0])
     return _draw_initial(source, rng, n)
 
 
@@ -198,10 +201,10 @@ def cmd_ensemble(args) -> int:
 
 def cmd_analyze(args) -> int:
     net = _load_net(args)
-    sub = decisive_subgraph(net)
     if args.emit == "dot":
-        _emit(args, network_to_dot(net, sub))
+        _emit(args, network_to_dot(net))
         return EXIT_OK
+    sub = decisive_subgraph(net)
     exists, witness = has_globally_reachable_node(sub)
     result = {
         "n": net.n,
@@ -290,7 +293,7 @@ def cmd_reduce(args) -> int:
     inst = parse_instance(args.instance)
     svc = build_svc_graph(inst)
     if args.emit == "dot":
-        _emit(args, network_to_dot(svc.network, decisive_subgraph(svc.network)))
+        _emit(args, network_to_dot(svc.network))
         return EXIT_OK
     result = {
         "instance": {"vars": inst.num_vars, "clauses": [list(c) for c in inst.clauses]},

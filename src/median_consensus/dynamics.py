@@ -265,14 +265,15 @@ def run(net: InfluenceNetwork, x0: Sequence, schedule) -> Trajectory:
     soon as the state is an equilibrium -- checked incrementally by
     rechecking only nodes whose median can have moved -- or when the tick
     budget is exhausted.  A random schedule's ``seed`` and ``budget`` must
-    be integers, the budget at least 1, before anything is drawn.
+    be integers, the seed at least 0 and the budget at least 1, before
+    anything is drawn.
     """
     vals = _validate_state(net, x0)
     state, table = _engine.encode_profile(vals)
     if isinstance(schedule, RandomSchedule):
         budget = schedule.budget if schedule.budget is not None else default_budget(net.n)
         check_int("budget", budget, 1)
-        check_int("seed", schedule.seed)
+        check_int("seed", schedule.seed, 0)
         rng = _rng(schedule.seed)
         ticks = _random_ticks(rng, net.n, budget)
     else:
@@ -399,11 +400,11 @@ def ensemble(
     Replica ``r`` derives its own generator from ``[seed, r]``, so reports
     are identical for any worker count.  ``workers`` processes (default 1,
     never more than ``replicas``) run the replicas and receive the network
-    once.  ``seed`` must be an integer, and ``replicas``, ``budget`` and
-    ``workers`` integers of at least 1.
+    once.  ``seed`` must be an integer of at least 0, and ``replicas``,
+    ``budget`` and ``workers`` integers of at least 1.
     """
     check_int("replicas", replicas, 1)
-    check_int("seed", seed)
+    check_int("seed", seed, 0)
     eff_budget = budget if budget is not None else default_budget(net.n)
     check_int("budget", eff_budget, 1)
     eff_workers = workers if workers is not None else 1

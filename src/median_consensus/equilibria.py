@@ -185,11 +185,12 @@ def classify(
     (None); if ``mc_replicas`` > 0, seeded runs from an all-distinct initial
     state are used as falsification only -- an observed consensus proves
     consensus is reachable, absence of one proves nothing -- and the scope
-    notes say so.  Bools, floats and a negative ``mc_replicas`` are refused.
+    notes say so.  Bools, floats and a negative ``mc_replicas`` or ``seed``
+    are refused.
     """
     check_int("cohesion_bound", cohesion_bound)
     check_int("mc_replicas", mc_replicas, 0)
-    check_int("seed", seed)
+    check_int("seed", seed, 0)
     n = net.n
     exhaustive = n <= cohesion_bound
     scope: dict = {"cohesion_bound": cohesion_bound, "cohesion_exhaustive": exhaustive}

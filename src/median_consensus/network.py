@@ -17,9 +17,12 @@ to exactly 1/2, indecisive links never influence i's update (half-ties widen
 median sets, and the tie-break can then track a formally indecisive
 neighbor; ``has_half_ties`` detects that regime).  The decisive links form a
 subgraph whose reachability structure separates networks that can reach
-consensus from those that cannot.  The subset sums are exact: a bitset of
-reachable sums for denominators up to 2^22, and meet-in-the-middle over the
-two halves of a row for larger ones, up to 40 weights.
+consensus from those that cannot.  Decisive links and half ties are both
+answered by one exact subset-sum routine per row (``_row_hits``): a bitset of
+reachable sums for denominators up to 2^22, and for larger ones a
+meet-in-the-middle over the two halves of the row, shared by all of its
+entries.  Past the bitset limit a row is refused when an entry has more than
+40 co-neighbors, that is when it holds more than 41 weights.
 """
 
 from __future__ import annotations
@@ -351,17 +354,15 @@ def save_network(net: InfluenceNetwork, path, fmt: str | None = None) -> None:
     atomic_write_text(path, text)
 
 
-def network_to_dot(net: InfluenceNetwork, subgraph: "DecisiveSubgraph | None" = None) -> str:
-    """Graphviz DOT text; with a subgraph, edges carry decisive=true|false."""
+def network_to_dot(net: InfluenceNetwork) -> str:
+    """Graphviz DOT text; each edge carries its weight and decisive=true|false."""
+    decisive = decisive_subgraph(net).edges
     lines = ["digraph influence {", "  rankdir=LR;"]
     for i in range(net.n):
         lines.append(f'  "{i + 1}";')
     for i, j, w in net.edges():
-        attrs = [f'label="{w}"']
-        if subgraph is not None:
-            flag = "true" if (i, j) in subgraph.edges else "false"
-            attrs.append(f"decisive={flag}")
-        lines.append(f'  "{i + 1}" -> "{j + 1}" [{", ".join(attrs)}];')
+        flag = "true" if (i, j) in decisive else "false"
+        lines.append(f'  "{i + 1}" -> "{j + 1}" [label="{w}", decisive={flag}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -390,36 +391,51 @@ def _pair_hit(left, right: Sequence[int], lo: int, hi: int) -> bool:
     return False
 
 
-def _achievable_range_hit(weights: Sequence[int], denom: int, lo: int, hi: int) -> bool:
-    """Is some subset sum of ``weights`` inside the integer range [lo, hi]?
+def _row_hits(wints: Sequence[int], denom: int, queries) -> list[bool]:
+    """For each ``(k, lo, hi)`` of ``queries``: does some subset of the row
+    ``wints`` without entry k (the whole row when k is None) sum into the
+    integer range [lo, hi]?
 
     Denominators up to 2^22 use a bitset of every reachable sum.  Larger
-    ones meet in the middle: the subset sums of each half of the weights,
-    one half sorted, and for each sum ``a`` of the other half a bisection
-    for a partner in [lo - a, hi - a].  That needs at most 2^20 sums per
-    half, so rows with more than 40 weights are refused.
+    ones meet in the middle: the row is split into two halves once, and each
+    half's subset sums are built and sorted once.  A query bisects, for each
+    sum of its own half without k, the shared sorted sums of the other half.
+    That needs at most 2^21 sums per half, so past the bitset limit a row
+    whose entries have more than 40 co-neighbors is refused before any sum
+    is built.
     """
-    if lo > hi:
-        return False
     if denom <= _BITSET_DENOM_LIMIT:
-        reach = 1
-        for w in weights:
-            reach |= reach << w
-        span = reach >> lo
-        mask = (1 << (hi - lo + 1)) - 1
-        return bool(span & mask)
-    _check_co_neighbors(len(weights))
-    half = len(weights) // 2
-    return _pair_hit(_subset_sums(weights[:half]), sorted(_subset_sums(weights[half:])), lo, hi)
-
-
-def _check_co_neighbors(count: int) -> None:
-    if count > _ENUM_DEGREE_LIMIT:
+        hits = []
+        for k, lo, hi in queries:
+            reach = 1
+            for w in wints if k is None else wints[:k] + wints[k + 1 :]:
+                reach |= reach << w
+            hits.append(lo <= hi and (reach >> lo) & ((2 << (hi - lo)) - 1) != 0)
+        return hits
+    if len(wints) - 1 > _ENUM_DEGREE_LIMIT:
         raise ValueError(
             "decisiveness check too large: row denominator exceeds the bitset limit "
-            f"and {count} co-neighbors exceed the meet-in-the-middle limit "
+            f"and {len(wints) - 1} co-neighbors exceed the meet-in-the-middle limit "
             f"{_ENUM_DEGREE_LIMIT}"
         )
+    half = len(wints) // 2
+    halves = (wints[:half], wints[half:])
+    shared = [sorted(_subset_sums(h)) for h in halves]
+    hits = []
+    for k, lo, hi in queries:
+        own = k is not None and k >= half
+        rest = [w for t, w in enumerate(halves[own], half if own else 0) if t != k]
+        hits.append(_pair_hit(_subset_sums(rest), shared[not own], lo, hi))
+    return hits
+
+
+def _decisive_hits(wints: Sequence[int], denom: int, ks: Iterable[int]) -> list[bool]:
+    """``is_decisive`` for the entries ``ks`` of one row: the integer form of
+    1/2 - w_k < s < 1/2 over sums s/denom of the other entries."""
+    above, hi = denom // 2 + 1, (denom - 1) // 2
+    return _row_hits(
+        wints, denom, [(k, above - wints[k] if above > wints[k] else 0, hi) for k in ks]
+    )
 
 
 def is_decisive(net: InfluenceNetwork, i: int, j: int) -> bool:
@@ -428,49 +444,15 @@ def is_decisive(net: InfluenceNetwork, i: int, j: int) -> bool:
     Exact subset-sum reachability over the row's common denominator: the
     link is decisive iff the weights of i's other neighbors admit a subset
     sum strictly between 1/2 - w_ij and 1/2.  Rows over a denominator above
-    2^22 are searched meet-in-the-middle, which raises ``ValueError`` when i
-    has more than 40 other neighbors.
+    2^22 meet in the middle, which raises ``ValueError`` when i has more
+    than 41 neighbors, that is more than 40 co-neighbors of j.
     """
     if not (is_json_int(i) and is_json_int(j) and 0 <= i < net.n and 0 <= j < net.n):
         raise ValueError(f"nodes ({i}, {j}) out of range")
     nbrs, wints, denom = net.integer_rows[i]
     if j not in nbrs:
         raise ValueError(f"({i}, {j}) is not an edge of the network")
-    return _entry_decisive(wints, denom, nbrs.index(j))
-
-
-def _entry_decisive(wints: Sequence[int], denom: int, k: int) -> bool:
-    """``is_decisive`` for entry k of a row of integer weights over ``denom``."""
-    others = [*wints[:k], *wints[k + 1 :]]
-    # Integer form of  1/2 - w_k < s < 1/2  over sums s/denom.
-    lo = (denom - 2 * wints[k]) // 2 + 1
-    hi = (denom - 1) // 2
-    if lo < 0:
-        lo = 0
-    return _achievable_range_hit(others, denom, lo, hi)
-
-
-def _decisive_row_split(wints: Sequence[int], denom: int) -> list[bool]:
-    """``is_decisive`` for every entry of one row past the bitset limit.
-
-    The row is split into two halves once, and each half's subset sums are
-    built and sorted once.  Entry k meets in the middle between the sums of
-    its own half without k and the shared sorted sums of the other half, so
-    a row costs two shared sortings rather than one per entry.
-    """
-    _check_co_neighbors(len(wints) - 1)
-    half = len(wints) // 2
-    halves = (wints[:half], wints[half:])
-    shared = [sorted(_subset_sums(h)) for h in halves]
-    out = []
-    for k, wk in enumerate(wints):
-        own = k >= half
-        rest = list(halves[own])
-        del rest[k - half if own else k]
-        # The range of is_decisive: 1/2 - w_ik < s < 1/2 over sums s/denom.
-        lo, hi = max((denom - 2 * wk) // 2 + 1, 0), (denom - 1) // 2
-        out.append(lo <= hi and _pair_hit(_subset_sums(rest), shared[not own], lo, hi))
-    return out
+    return _decisive_hits(wints, denom, [nbrs.index(j)])[0]
 
 
 def has_half_ties(net: InfluenceNetwork) -> bool:
@@ -479,15 +461,14 @@ def has_half_ties(net: InfluenceNetwork) -> bool:
     At such ties the weighted median can be non-unique, the tie-break can
     adopt a formally indecisive neighbor's value, and reachability over the
     decisive subgraph alone no longer bounds where opinions can travel.
-    The subset sums take the paths of ``is_decisive``, with its limit.
+    The subset sums are those of ``is_decisive``, with the whole row in
+    place of the co-neighbors, and the same refusal of rows with more than
+    41 weights over a denominator above 2^22.
     """
-    for _nbrs, wints, denom in net.integer_rows:
-        if denom % 2:
-            continue
-        half = denom // 2
-        if _achievable_range_hit(wints, denom, half, half):
-            return True
-    return False
+    return any(
+        denom % 2 == 0 and _row_hits(wints, denom, [(None, denom // 2, denom // 2)])[0]
+        for _nbrs, wints, denom in net.integer_rows
+    )
 
 
 @dataclass(frozen=True)
@@ -507,27 +488,18 @@ class DecisiveSubgraph:
         )
 
 
-def _decisive_edges(net: InfluenceNetwork):
-    """Yield every decisive link (i, j), row by row.
-
-    Rows up to the bitset limit ask ``_entry_decisive`` per edge.  Larger rows
-    share each half's sorted subset sums across their edges
-    (``_decisive_row_split``).
-    """
-    for i, (nbrs, wints, denom) in enumerate(net.integer_rows):
-        if denom <= _BITSET_DENOM_LIMIT:
-            for k, j in enumerate(nbrs):
-                if _entry_decisive(wints, denom, k):
-                    yield i, j
-        else:
-            for j, flag in zip(nbrs, _decisive_row_split(wints, denom)):
-                if flag:
-                    yield i, j
-
-
 def decisive_subgraph(net: InfluenceNetwork) -> DecisiveSubgraph:
-    """Classify every edge of the network as decisive or not."""
-    return DecisiveSubgraph(network=net, edges=frozenset(_decisive_edges(net)))
+    """Classify every edge of the network as decisive or not, one
+    ``_row_hits`` call per row; refused as ``is_decisive`` refuses."""
+    return DecisiveSubgraph(
+        network=net,
+        edges=frozenset(
+            (i, j)
+            for i, (nbrs, wints, denom) in enumerate(net.integer_rows)
+            for j, hit in zip(nbrs, _decisive_hits(wints, denom, range(len(wints))))
+            if hit
+        ),
+    )
 
 
 def _reach(adj: Sequence[Sequence[int]], start: int, seen: list[bool]) -> int:

@@ -18,7 +18,8 @@ Usage, from the repository root::
 
 Run it once per source tree (``PYTHONPATH`` pointing at that tree's
 ``src``) and compare the output.  pytest does not collect this file;
-``test_golden_cli.py`` asserts the total digest through ``digests()``.
+``test_golden_cli.py`` pins every group's digest and the total through
+``digests()``.
 """
 
 from __future__ import annotations

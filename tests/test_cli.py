@@ -167,6 +167,20 @@ class TestAnalyze:
         assert result["decisive_edges"] == [[1, n]] + [[i, i] for i in range(2, n + 1)]
         assert result["indecisive_edges"] == [[1, j] for j in range(1, n)]
 
+    def test_forty_one_weights_over_an_even_denominator(self, tmp_path, capsys):
+        # Past the bitset limit, 40 co-neighbors per entry: decisive links
+        # and half ties both get an exact answer.
+        d = (1 << 22) + 26
+        n = 41
+        edges = [[1, j, f"1/{d}"] for j in range(1, n)] + [[1, n, f"{d - 40}/{d}"]]
+        edges += [[i, i, "1"] for i in range(2, n + 1)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        rc = cli.main(["analyze", "--network", str(path)])
+        result = _capture(capsys)["result"]
+        assert rc == 0
+        assert result["decisive_edges"] == [[1, n]] + [[i, i] for i in range(2, n + 1)]
+
     def test_raised_bound_on_a_deep_chain(self, tmp_path, capsys):
         # Node 1 listens to itself and node i to node i - 1: only the full
         # set is maximal cohesive, found without a call per node.
@@ -420,6 +434,12 @@ class TestErrorPaths:
                        "--seed", "1"])
         capsys.readouterr()
         assert rc == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "sequence"])
+    def test_negative_seed_is_named(self, complete4, capsys, command):
+        rc = cli.main([command, "--network", complete4, "--initial", "labels:3", "--seed", "-3"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "seed must be at least 0" in err
 
     def test_incomparable_opinions(self, complete4, capsys):
         rc = cli.main(["simulate", "--network", complete4, "--initial", "0,a,1,2",

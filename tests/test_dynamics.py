@@ -396,19 +396,24 @@ class TestEnsemble:
                 ensemble(fixtures.complete_uniform(4), state, replicas=4, seed=1,
                          workers=workers)
 
-    @pytest.mark.parametrize("seed", [None, 1.5, True], ids=["none", "float", "bool"])
-    def test_seeds_follow_the_integer_rule(self, no_replica_runs, monkeypatch, seed):
+    @pytest.mark.parametrize(
+        "seed, refusal",
+        [(None, "an integer"), (1.5, "an integer"), (True, "an integer"), (-1, "at least 0")],
+        ids=["none", "float", "bool", "negative"],
+    )
+    def test_seeds_follow_the_integer_rule(self, no_replica_runs, monkeypatch, seed, refusal):
         # Checked before any draw: a None seed would draw from OS entropy,
-        # and True would run as seed 1.
+        # True would run as seed 1, and numpy's refusal of -1 names no
+        # parameter.
         def no_draw(seed):
             raise AssertionError("a generator was seeded")
 
         monkeypatch.setattr(dynamics, "_rng", no_draw)
         net = fixtures.complete_uniform(3)
-        with pytest.raises(ValueError, match="^seed must be an integer"):
+        with pytest.raises(ValueError, match=f"^seed must be {refusal}"):
             run(net, (0, 1, 2), RandomSchedule(seed=seed))
         for workers in (1, 2):
-            with pytest.raises(ValueError, match="^seed must be an integer"):
+            with pytest.raises(ValueError, match=f"^seed must be {refusal}"):
                 ensemble(net, LabelUniform(3), 2, seed, workers=workers)
 
     def test_census_matches_decoded_terminals(self):

@@ -313,27 +313,35 @@ class TestClassify:
             classify(fixtures.complete_uniform(20), mc_replicas=-1)
 
     @pytest.mark.parametrize(
-        "name, call",
+        "refusal, call",
         [
-            ("mc_replicas", lambda net: classify(
+            ("mc_replicas must be an integer, not ", lambda net: classify(
                 fixtures.complete_uniform(20), cohesion_bound=4, mc_replicas=True
             )),
-            ("mc_replicas", lambda net: classify(net, mc_replicas=1.5)),
-            ("cohesion_bound", lambda net: classify(net, cohesion_bound=2.5)),
-            ("seed", lambda net: classify(net, cohesion_bound=2, mc_replicas=1, seed=1.5)),
-            ("max_states", lambda net: enumerate_equilibria(net, range(3), max_states=30.5)),
-            ("bound", lambda net: enumerate_maximal_cohesive_sets(net, bound=None)),
-            ("bound", lambda net: has_nontrivial_maximal_cohesive_set(net, bound="4")),
+            ("mc_replicas must be an integer, not ", lambda net: classify(net, mc_replicas=1.5)),
+            ("cohesion_bound must be an integer, not ",
+             lambda net: classify(net, cohesion_bound=2.5)),
+            ("seed must be an integer, not ",
+             lambda net: classify(net, cohesion_bound=2, mc_replicas=1, seed=1.5)),
+            ("seed must be at least 0$",
+             lambda net: classify(net, cohesion_bound=2, mc_replicas=1, seed=-1)),
+            ("max_states must be an integer, not ",
+             lambda net: enumerate_equilibria(net, range(3), max_states=30.5)),
+            ("bound must be an integer, not ",
+             lambda net: enumerate_maximal_cohesive_sets(net, bound=None)),
+            ("bound must be an integer, not ",
+             lambda net: has_nontrivial_maximal_cohesive_set(net, bound="4")),
         ],
         ids=[
             "classify-replicas-bool", "classify-replicas-float", "classify-bound-float",
-            "classify-seed-float", "enumerate-max-states-float", "cohesion-bound-none",
-            "nontrivial-bound-str",
+            "classify-seed-float", "classify-seed-negative", "enumerate-max-states-float",
+            "cohesion-bound-none", "nontrivial-bound-str",
         ],
     )
-    def test_integer_parameters_refuse_bools_and_floats(self, name, call):
-        # The rule of ensemble's counts and decide's bound: a JSON integer.
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+    def test_integer_parameters_refuse_bools_and_floats(self, refusal, call):
+        # The rule of ensemble's counts and decide's bound: a JSON integer,
+        # and a seed of at least 0, the least that numpy takes.
+        with pytest.raises(ValueError, match=f"^{refusal}"):
             call(fixtures.complete_uniform(3))
 
     def test_undecided_beyond_bound_with_falsification(self):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HUGE_COUNT, peak_allocation, random_coprime_rows, random_network
+from conftest import HUGE_COUNT, oracle_networks, peak_allocation, random_coprime_rows, random_network
+from decisive_oracles import per_edge_decisive
 from median_consensus import InfluenceNetwork, fixtures, network
 from median_consensus.dynamics import RandomSchedule, run
 from median_consensus.network import (
@@ -348,7 +349,7 @@ class TestFormats:
 
     def test_dot_marks_decisiveness(self):
         net = InfluenceNetwork.from_rows([[F(3, 5), F(2, 5)], [F(0), F(1)]])
-        dot = network_to_dot(net, decisive_subgraph(net))
+        dot = network_to_dot(net)
         assert 'decisive=true' in dot and 'decisive=false' in dot
 
 
@@ -462,6 +463,26 @@ class TestDecisiveLinks:
         with pytest.raises(ValueError, match="41 co-neighbors exceed the meet-in-the-middle limit 40"):
             is_decisive(net, 0, 41)
 
+    def test_one_refusal_rule_checked_before_any_sums(self, monkeypatch):
+        # A row of 41 weights over an even denominator past the bitset
+        # limit: each entry has 40 co-neighbors, so all three functions
+        # answer.  One more weight and all three refuse, before any sum.
+        d = (1 << 22) + 26
+        net = _spread_row_network(d, 40)
+        assert has_half_ties(net) is False
+        assert decisive_subgraph(net).edges == {(0, 40)} | {(i, i) for i in range(1, 41)}
+        assert is_decisive(net, 0, 40) and not is_decisive(net, 0, 0)
+
+        def no_sums(weights):
+            raise AssertionError("subset sums were built")
+
+        monkeypatch.setattr(network, "_subset_sums", no_sums)
+        wider = _spread_row_network(d, 41)
+        for call in (lambda: is_decisive(wider, 0, 0), lambda: decisive_subgraph(wider),
+                     lambda: has_half_ties(wider)):
+            with pytest.raises(ValueError, match="41 co-neighbors exceed the meet-in-the-middle"):
+                call()
+
     def test_shared_halves_on_wide_prime_rows_match_oracle(self):
         # Rows 0..3 hold 20 to 23 weights over primes above 2^22, so
         # decisive_subgraph shares each half's sums across the row's edges.
@@ -484,7 +505,7 @@ class TestDecisiveLinks:
 
     def test_shared_halves_match_per_edge_meet_in_the_middle(self):
         # Unstructured weights over a prime: each row's shared-halves answer
-        # against is_decisive, which builds both halves for every edge.
+        # against the oracle that builds both halves for every edge.
         rnd = random.Random(0xD1CE)
         p = 8388617
         for size in (2, 3, 20, 25, 26):
@@ -493,7 +514,18 @@ class TestDecisiveLinks:
             edges = [(0, j, w) for j, w in enumerate(weights)]
             net = InfluenceNetwork.from_edges(size, edges + [(i, i, 1) for i in range(1, size)])
             got = decisive_subgraph(net).edges
+            assert got == per_edge_decisive(net)
             assert got == {(i, j) for i, j, _w in net.edges() if is_decisive(net, i, j)}
+
+    @given(oracle_networks())
+    def test_shared_halves_match_the_oracles_on_oracle_networks(self, net):
+        # With the bitset limit at 0 every row meets in the middle.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_BITSET_DENOM_LIMIT", 0)
+            got = decisive_subgraph(net).edges
+            assert got == {(i, j) for i, j, _w in net.edges() if oracle_decisive(net, i, j)}
+            assert all(is_decisive(net, i, j) == ((i, j) in got) for i, j, _w in net.edges())
+            assert has_half_ties(net) == oracle_half_ties(net)
 
     def test_meet_in_the_middle_matches_bitset_and_oracle(self, monkeypatch):
         rnd = random.Random(0x3177)
