@@ -10,13 +10,14 @@ cohesive seed it is the smallest maximal cohesive superset.
 Rows sum to exactly 1, so M is maximal cohesive iff M and its complement
 are both cohesive: every node keeps at least half its weight on its own
 side of the cut.  A cut is a 0/1 ``side`` list plus per-node margins
-``2 * (weight on side 1) - denom``, and ``_move`` puts a node on a side and
-shifts its listeners' margins (``net.listener_weights``).  On that pair
-``_expand`` runs every expansion, both per value class in
-``build_update_sequence`` too, and ``_class_cuts_settled`` sweeps the cuts
-between value classes.  The cut search ``_settled_cuts`` keeps a mass per
-side, as its unplaced nodes are on neither, and prunes at the first placed
-node with more than half its weight across the cut.
+``2 * (weight on side 1) - denom``: ``_margin`` computes one from a row,
+``_whole_cut`` starts every node on side 1, and ``_move`` puts a node on a
+side and shifts its listeners' margins (``net.listener_weights``).  No other
+module writes a margin.  On that pair ``_expand`` runs every expansion, both
+per value class in ``build_update_sequence`` too, and ``_class_cuts_settled``
+sweeps the cuts between value classes.  The cut search ``_settled_cuts``
+keeps a mass per side, as its unplaced nodes are on neither, and prunes at
+the first placed node with more than half its weight across the cut.
 
 Maximal cohesive sets are exactly the blocks that can hold an opinion
 forever: once all members agree, no member ever leaves and no strict
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from . import _engine
 from ._io import check_int, is_json_int
 from .network import InfluenceNetwork
 
@@ -61,7 +61,7 @@ def is_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
     """Every member keeps weight >= 1/2 inside the set."""
     inside = _indicator(net, members)
     rows = net.integer_rows
-    return all(_engine.margin(rows[i], inside) >= 0 for i in range(net.n) if inside[i])
+    return all(_margin(rows[i], inside) >= 0 for i in range(net.n) if inside[i])
 
 
 def is_maximal_cohesive(net: InfluenceNetwork, members: Iterable[int]) -> bool:
@@ -76,6 +76,26 @@ class ExpansionTrace:
 
     result: frozenset
     additions: tuple[tuple[int, int], ...]  # (node, admission step), steps from 1
+
+
+def _margin(row, inside) -> int:
+    """``2 * (weight the row puts on nodes j with inside[j]) - denom``.
+
+    Positive means a strict majority inside the set, non-negative means at
+    least half.  ``row`` is one entry of ``integer_rows``; ``inside`` is a
+    per-node 0/1 list.
+    """
+    nbrs, wints, denom = row
+    mass = 0
+    for j, w in zip(nbrs, wints):
+        if inside[j]:
+            mass += w
+    return 2 * mass - denom
+
+
+def _whole_cut(net: InfluenceNetwork):
+    """The cut with every node on side 1: ``(side, margin)``."""
+    return [1] * net.n, [row[2] for row in net.integer_rows]
 
 
 def _move(net: InfluenceNetwork, side, margin, j: int, s: int):
@@ -129,9 +149,8 @@ def cohesive_expansion(
         if not all(map(is_json_int, hint)) or sorted(hint) != list(pos):
             raise ValueError("order_hint must be a permutation of all node indices")
         # Sorting indices by a permutation's entries inverts it.
-        pos = sorted(range(n), key=hint.__getitem__)
-        order = sorted(range(n), key=pos.__getitem__)
-    margin = [_engine.margin(row, inside) for row in net.integer_rows]
+        order, pos = hint, sorted(range(n), key=hint.__getitem__)
+    margin = [_margin(row, inside) for row in net.integer_rows]
     admitted = _expand(net, inside, margin, 1, order, pos)
     additions = tuple((node, step) for step, node in enumerate(admitted, 1))
     return ExpansionTrace(result=frozenset(i for i in range(n) if inside[i]), additions=additions)
@@ -224,10 +243,8 @@ def _class_cuts_settled(net: InfluenceNetwork, classes) -> bool:
     across the cut.  One count of flagged nodes decides each cut, so every
     row is read once however many cuts there are.
     """
-    n = net.n
-    side = [1] * n
-    margin = [row[2] for row in net.integer_rows]
-    unsettled = [False] * n
+    side, margin = _whole_cut(net)
+    unsettled = [False] * net.n
     count = 0
     for members in classes[:-1]:
         touched = list(members)

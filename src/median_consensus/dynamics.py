@@ -16,6 +16,7 @@ seed, so results do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
@@ -163,7 +164,7 @@ def _run_encoded(net, state, ticks, budget):
 
     ``hist[i]`` is node i's mass table, ``ranks[i]`` its occupied ranks in
     order, ``lo[i]`` its lower median and ``below[i]`` the mass at or below
-    ``lo[i]``; ``_engine.lower_median`` sets them up.  When node i moves,
+    ``lo[i]``; ``_engine.median_bounds`` sets them up.  When node i moves,
     only its weight in each listener's table moves: the listener's
     ``below`` changes by that weight, and its lower median walks up or down
     the adjacent occupied ranks until the mass at or below it reaches half
@@ -182,9 +183,7 @@ def _run_encoded(net, state, ticks, budget):
     below = []
     med = []
     for h, rk, d, v in zip(hist, ranks, denoms, state):
-        k, b = _engine.lower_median(rk, h, d)
-        m = rk[k]
-        hi = rk[k + 1] if 2 * b == d else m
+        m, b, hi = _engine.median_bounds(rk, h, d)
         lo.append(m)
         below.append(b)
         med.append(m if v < m else hi if v > hi else v)
@@ -326,10 +325,6 @@ class EnsembleReport:
     def consensus_fraction(self) -> float:
         return self.consensus_count / self.replicas
 
-    @property
-    def converged_fraction(self) -> float:
-        return self.converged_count / self.replicas
-
     def to_json_dict(self) -> dict:
         return {
             "replicas": self.replicas,
@@ -399,9 +394,9 @@ def ensemble(
     ``draw(rng, n)`` method (:class:`LabelUniform`, :class:`GridUniform`).
     Replica ``r`` derives its own generator from ``[seed, r]``, so reports
     are identical for any worker count.  ``workers`` processes (default 1,
-    never more than ``replicas``) run the replicas and receive the network
-    once.  ``seed`` must be an integer of at least 0, and ``replicas``,
-    ``budget`` and ``workers`` integers of at least 1.
+    never more than ``replicas`` or the CPU count) run the replicas and
+    receive the network once.  ``seed`` must be an integer of at least 0,
+    and ``replicas``, ``budget`` and ``workers`` integers of at least 1.
     """
     check_int("replicas", replicas, 1)
     check_int("seed", seed, 0)
@@ -409,7 +404,8 @@ def ensemble(
     check_int("budget", eff_budget, 1)
     eff_workers = workers if workers is not None else 1
     check_int("workers", eff_workers, 1)
-    eff_workers = min(eff_workers, replicas)
+    # Under fork the pool starts every worker at once: no more than CPUs.
+    eff_workers = min(eff_workers, replicas, os.cpu_count() or 1)
     if not hasattr(x0_source, "draw"):
         # A fixed state's length and values are checked here, before any
         # replica or worker starts; each replica still encodes its own copy.

@@ -36,6 +36,7 @@ from .cohesion import (
     _expand,
     _move,
     _settled_cuts,
+    _whole_cut,
     has_nontrivial_maximal_cohesive_set,
     is_cohesive,
 )
@@ -185,12 +186,14 @@ def classify(
     (None); if ``mc_replicas`` > 0, seeded runs from an all-distinct initial
     state are used as falsification only -- an observed consensus proves
     consensus is reachable, absence of one proves nothing -- and the scope
-    notes say so.  Bools, floats and a negative ``mc_replicas`` or ``seed``
-    are refused.
+    notes say so.  Bools, floats, a negative ``mc_replicas`` or ``seed``
+    and a ``budget`` below 1 are refused, whether or not a run uses them.
     """
     check_int("cohesion_bound", cohesion_bound)
     check_int("mc_replicas", mc_replicas, 0)
     check_int("seed", seed, 0)
+    if budget is not None:
+        check_int("budget", budget, 1)
     n = net.n
     exhaustive = n <= cohesion_bound
     scope: dict = {"cohesion_bound": cohesion_bound, "cohesion_exhaustive": exhaustive}
@@ -275,8 +278,7 @@ def build_update_sequence(net: InfluenceNetwork, x0) -> tuple[tuple[int, ...], t
     state, table = _engine.encode_profile(vals)
     rows = net.integer_rows
     order = range(net.n)
-    side = [1] * net.n
-    margin = [row[2] for row in rows]
+    side, margin = _whole_cut(net)
     schedule: list[int] = []
 
     for level in range(len(table) - 1):

@@ -3,13 +3,20 @@
 
 ``rescan_cohesive_expansion`` recomputes every outside node's margin on each
 admission, and ``two_loop_update_sequence`` writes out the escape and join
-loops of ``build_update_sequence`` by hand.  Tests require the library to
-give exactly the same additions and schedules.
+loops of ``build_update_sequence`` by hand.  Both compute their margins
+here, straight from ``integer_rows``.  Tests require the library to give
+exactly the same additions and schedules.
 """
 
 from __future__ import annotations
 
 from median_consensus import _engine, is_equilibrium, run
+
+
+def margin(row, inside):
+    """``2 * (row weight on nodes with inside[j]) - denom``, from ``integer_rows``."""
+    nbrs, wints, denom = row
+    return 2 * sum(w for j, w in zip(nbrs, wints) if inside[j]) - denom
 
 
 def rescan_cohesive_expansion(net, members, order_hint=None):
@@ -26,7 +33,7 @@ def rescan_cohesive_expansion(net, members, order_hint=None):
     while True:
         qualifiers = [
             i for i in range(net.n)
-            if not inside[i] and _engine.margin(rows[i], inside) > 0
+            if not inside[i] and margin(rows[i], inside) > 0
         ]
         if not qualifiers:
             break
@@ -55,7 +62,7 @@ def two_loop_update_sequence(net, x0):
             while True:
                 pick = next(
                     (i for i in range(start, n)
-                     if low[i] == member and sign * _engine.margin(rows[i], low) > 0),
+                     if low[i] == member and sign * margin(rows[i], low) > 0),
                     None,
                 )
                 if pick is None:

@@ -13,7 +13,6 @@ from conftest import oracle_networks, random_coprime_network, random_network
 from median_consensus import (
     InfluenceNetwork,
     RandomSchedule,
-    _engine,
     cohesive_expansion,
     enumerate_maximal_cohesive_sets,
     fixtures,
@@ -23,6 +22,7 @@ from median_consensus import (
     is_maximal_cohesive,
     run,
 )
+from median_consensus.cohesion import _margin
 
 
 HALF = F(1, 2)
@@ -297,7 +297,7 @@ class TestIntegerThresholdsMatchFractionOracle:
             members = set(rnd.sample(range(net.n), rnd.randint(0, net.n)))
             inside = [int(i in members) for i in range(net.n)]
             for i, row in enumerate(net.integer_rows):
-                m = _engine.margin(row, inside)
+                m = _margin(row, inside)
                 mass = oracle_mass(net, i, members)
                 assert (m > 0) == (mass > HALF) and (m >= 0) == (mass >= HALF)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction as F
 
@@ -306,6 +307,35 @@ class TestEnsemble:
         serial = ensemble(net, LabelUniform(k=3), replicas=24, seed=6, workers=1)
         parallel = ensemble(net, LabelUniform(k=3), replicas=24, seed=6, workers=3)
         assert serial == parallel and serial.census == parallel.census
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # Under fork the pool starts every worker at once, so it never asks
+        # for more than there are CPUs.  The fake pool records its size and
+        # runs the replicas in this process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(dynamics, "_worker_config", ())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        net = fixtures.complete_uniform(4)
+        capped = ensemble(net, LabelUniform(3), replicas=64, seed=2, workers=64)
+        assert sizes == [2]
+        serial = ensemble(net, LabelUniform(3), replicas=64, seed=2, workers=1)
+        assert capped == serial and capped.census == serial.census
 
     def test_workers_inherit_numpy_from_the_parent(self):
         # The parent loads numpy before the pool forks, so no worker imports

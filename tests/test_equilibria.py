@@ -33,6 +33,7 @@ from median_consensus import (
     build_svc_graph,
     build_update_sequence,
     classify,
+    cohesion,
     cohesive_expansion,
     decide_consensus_reachable,
     enumerate_equilibria,
@@ -325,6 +326,10 @@ class TestClassify:
              lambda net: classify(net, cohesion_bound=2, mc_replicas=1, seed=1.5)),
             ("seed must be at least 0$",
              lambda net: classify(net, cohesion_bound=2, mc_replicas=1, seed=-1)),
+            # Checked even where no Monte Carlo run would read it.
+            ("budget must be an integer, not ", lambda net: classify(net, budget=1.5)),
+            ("budget must be at least 1$",
+             lambda net: classify(net, budget=0, cohesion_bound=2)),
             ("max_states must be an integer, not ",
              lambda net: enumerate_equilibria(net, range(3), max_states=30.5)),
             ("bound must be an integer, not ",
@@ -334,8 +339,9 @@ class TestClassify:
         ],
         ids=[
             "classify-replicas-bool", "classify-replicas-float", "classify-bound-float",
-            "classify-seed-float", "classify-seed-negative", "enumerate-max-states-float",
-            "cohesion-bound-none", "nontrivial-bound-str",
+            "classify-seed-float", "classify-seed-negative", "classify-budget-float",
+            "classify-budget-zero", "enumerate-max-states-float", "cohesion-bound-none",
+            "nontrivial-bound-str",
         ],
     )
     def test_integer_parameters_refuse_bools_and_floats(self, refusal, call):
@@ -853,15 +859,15 @@ class TestSearchWork:
 
 @pytest.fixture
 def margin_calls(monkeypatch):
-    """Counts ``_engine.margin`` calls."""
+    """Counts ``cohesion._margin`` calls."""
     calls = [0]
-    orig = _engine.margin
+    orig = cohesion._margin
 
     def counted(row, inside):
         calls[0] += 1
         return orig(row, inside)
 
-    monkeypatch.setattr(_engine, "margin", counted)
+    monkeypatch.setattr(cohesion, "_margin", counted)
     return calls
 
 

@@ -217,13 +217,17 @@ class TestEngineMedian:
     @given(cleared_rows())
     def test_median_of_matches_closest_weighted_median(self, case):
         net, state = case
-        row = net.integer_rows[0]
-        masses = _engine.row_masses(row, state)
+        rows = net.integer_rows
+        masses = _engine.row_masses(rows[0], state)
         values = tuple(state[j] for j, _ in net.rows[0])
         weights = tuple(w for _, w in net.rows[0])
+        lo, _, hi = _engine.median_bounds(sorted(masses), masses, rows[0][2])
+        medians = weighted_median_set(values, weights)
+        assert (lo, hi) == (medians[0], medians[-1])
+        # Node 0 has no self-loop, so its own rank is only the reference.
         for ref in range(-1, max(state) + 2):
             expected = closest_weighted_median(values + (ref,), weights + (F(0),), ref)
-            assert _engine.median_of(masses, row[2], ref) == expected
+            assert _engine.update_value(rows, [ref, *state[1:]], 0) == expected
 
 
 # Small ints and Fractions equal to some of them (2 and F(4, 2)), strings,
