@@ -574,6 +574,145 @@ class TestHalfTies:
             assert has_half_ties(net) == oracle_half_ties(net)
 
 
+def _tie_free_ring(n=12):
+    """Node i gives 5/8 to itself and 1/8 to each of i+1, i+2, i+3 (mod n).
+    No subset of a row sums to 4/8.  The rows that wrap around store the 5
+    at another position, so n >= 4 nodes give 4 stored row shapes."""
+    return InfluenceNetwork.from_edges(
+        n, [(i, (i + d) % n, F(5 if d == 0 else 1, 8)) for i in range(n) for d in range(4)]
+    )
+
+
+def _shared_shape_network(weights, copies):
+    """Nodes 0..copies-1 each spread ``weights`` over the contiguous nodes
+    i, i+1, ..., so all of them store one row shape; node ``copies`` spreads
+    the reversed weights, another shape unless they read the same both ways.
+    Every other node listens only to itself."""
+    size = len(weights)
+    n = copies + size
+    edges = [(i, i + t, w) for i in range(copies) for t, w in enumerate(weights)]
+    edges += [(copies, copies + t, w) for t, w in enumerate(reversed(weights))]
+    edges += [(i, i, 1) for i in range(copies + 1, n)]
+    return InfluenceNetwork.from_edges(n, edges)
+
+
+@pytest.fixture
+def row_queries(monkeypatch):
+    """Count the queries asked of ``network._row_hits``."""
+    count = [0]
+    inner = network._row_hits
+
+    def counted(wints, denom, queries):
+        queries = list(queries)
+        count[0] += len(queries)
+        return inner(wints, denom, queries)
+
+    monkeypatch.setattr(network, "_row_hits", counted)
+    return count
+
+
+class TestRepeatedWeights:
+    """Equal weights in rows of one stored shape share one subset-sum
+    query; every edge must still get the answer of its own link."""
+
+    def _check(self, net):
+        got = decisive_subgraph(net).edges
+        assert got == per_edge_decisive(net)
+        assert got == {(i, j) for i, j, _w in net.edges() if oracle_decisive(net, i, j)}
+        assert all(is_decisive(net, i, j) == ((i, j) in got) for i, j, _w in net.edges())
+        assert has_half_ties(net) == oracle_half_ties(net)
+        return got
+
+    def test_prime_rows_repeat_weights_across_the_split(self):
+        rnd = random.Random(0x2E9E)
+        decisive = wide = 0
+        for size in (10, 13, 16):
+            weights, p = _prime_row(rnd, size)
+            assert p > network._BITSET_DENOM_LIMIT
+            half = size // 2
+            left, right = weights[:half], weights[half:]
+            # Repeats within each half and across the two.
+            assert len(set(left)) < len(left) and len(set(right)) < len(right)
+            assert set(left) & set(right)
+            net = _shared_shape_network(weights, copies=4)
+            assert len({(w, d) for _n, w, d in net.integer_rows[:4]}) == 1
+            got = self._check(net)
+            row_edges = [(i, j) for i, j, _w in net.edges() if i <= 4]
+            decisive += sum(e in got for e in row_edges)
+            wide += len(row_edges)
+        assert 0 < decisive < wide
+
+    @pytest.mark.parametrize("limit", [network._BITSET_DENOM_LIMIT, 0])
+    def test_small_rows_on_both_paths(self, monkeypatch, limit):
+        monkeypatch.setattr(network, "_BITSET_DENOM_LIMIT", limit)
+        tied = _shared_shape_network([F(1, 12), F(1, 12), F(1, 6), F(1, 6), F(1, 4), F(1, 4)], 4)
+        for net in (
+            tied,
+            _shared_shape_network([F(3, 7), F(1, 7), F(1, 7), F(2, 7)], 5),
+            _shared_shape_network([F(2, 9), F(2, 9), F(1, 9), F(4, 9)], 3),
+            _tie_free_ring(),
+            fixtures.lattice(3, 4),
+            fixtures.complete_uniform(7),
+            fixtures.complete_uniform(6, self_loops=True),
+        ):
+            self._check(net)
+        assert has_half_ties(tied) is True
+        assert has_half_ties(_tie_free_ring()) is False
+
+    def test_tie_in_a_later_shape_is_found(self):
+        # Eleven rows of the ring's tie-free shapes come first; the last
+        # row ties, so skipping known shapes must not skip it.
+        rows = _tie_free_ring().integer_rows[:-1]
+        edges = [(i, j, F(w, d)) for i, (nbrs, ws, d) in enumerate(rows) for j, w in zip(nbrs, ws)]
+        edges += [(11, 11, F(1, 2)), (11, 0, F(1, 4)), (11, 1, F(1, 4))]
+        assert has_half_ties(InfluenceNetwork.from_edges(12, edges)) is True
+
+    def test_wide_row_after_answered_rows_is_refused(self, row_queries):
+        # Rows 0 and 1 store one shape of 41 weights over an even denominator
+        # past the bitset limit and answer; row 2 holds 42 weights.  Both
+        # functions reach row 2 and raise the message of a wide row.
+        d = (1 << 22) + 26
+        edges = [(i, i + t, F(1, d)) for i in range(2) for t in range(40)]
+        edges += [(i, i + 40, F(d - 40, d)) for i in range(2)]
+        edges += [(2, t, F(1, d)) for t in range(41)] + [(2, 41, F(d - 41, d))]
+        edges += [(i, i, 1) for i in range(3, 42)]
+        net = InfluenceNetwork.from_edges(42, edges)
+        wide = "41 co-neighbors exceed the meet-in-the-middle limit 40"
+        for call in (decisive_subgraph, has_half_ties):
+            row_queries[0] = 0
+            with pytest.raises(ValueError, match=wide):
+                call(net)
+            # Row 0's shape answered (two distinct weights, or one tie
+            # query), row 1 skipped, then the wide row's queries.
+            assert row_queries[0] == (2 if call is has_half_ties else 4)
+
+
+class TestDecisiveWork:
+    """Exact ``_row_hits`` query counts: one query per stored row shape and
+    distinct weight for ``decisive_subgraph``, one per shape for
+    ``has_half_ties``."""
+
+    def test_lattice_has_three_shapes(self, row_queries):
+        net = fixtures.lattice(10, 10)
+        # Corner and interior rows: every link decisive; border rows of
+        # four quarters: none.
+        assert len(decisive_subgraph(net).edges) == 4 * 3 + 64 * 5
+        assert row_queries[0] == 3
+
+    def test_complete_uniform_has_one_shape(self, row_queries):
+        net = fixtures.complete_uniform(60)
+        assert len(decisive_subgraph(net).edges) == 3540
+        assert row_queries[0] == 1
+
+    def test_tie_free_ring_has_four_shapes(self, row_queries):
+        net = _tie_free_ring()
+        assert has_half_ties(net) is False
+        assert row_queries[0] == 4
+        row_queries[0] = 0
+        assert decisive_subgraph(net).edges == {(i, i) for i in range(12)}
+        assert row_queries[0] == 8
+
+
 class TestGlobalReachability:
     def test_ring_every_node_reaches(self):
         exists, witness = has_globally_reachable_node(decisive_subgraph(fixtures.directed_ring(5)))
