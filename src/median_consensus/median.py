@@ -14,6 +14,7 @@ ingestion so that the half-threshold tests are exact.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -35,19 +36,24 @@ def to_fraction(value) -> Fraction:
 
     Accepts integers, Fractions/Rationals, and strings such as ``"2/5"`` or
     ``"0.125"`` (decimal strings convert exactly).  Floats are refused: their
-    binary rounding would silently corrupt comparisons against 1/2.
+    binary rounding would silently corrupt comparisons against 1/2.  So is
+    exponent notation (``"1e3"``): ``Fraction`` expands the power exactly, at
+    a cost that grows faster than the exponent.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not valid weights or opinions")
     if isinstance(value, float):
+        # The suggested string is positional: "1e-05" would be refused.
         raise TypeError(
-            f"refusing float {value!r}: pass a string like '{value}' or a Fraction "
-            "to keep arithmetic exact"
+            f"refusing float {value!r}: pass a string like '{Decimal(repr(value)):f}' "
+            "or a Fraction to keep arithmetic exact"
         )
     if isinstance(value, (int, Rational)):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if "e" in value or "E" in value:
+                raise ValueError("exponent notation")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc

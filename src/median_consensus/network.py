@@ -9,6 +9,13 @@ sums to exactly 1.  Every half-threshold test reads this integer form; the
 ``w_ij > 0``.  File formats (dense CSV and an edge list in JSON) use
 1-indexed nodes; the in-memory API is 0-indexed.
 
+A load works per weight token and per row shape, not per entry.  Each
+distinct token is parsed once by ``to_fraction``, which refuses exponent
+notation such as ``"1e3"``.  A row's shape is the tuple of its nonzero
+weights in neighbor order, and each distinct shape is cleared to integers
+once; rows of one shape share one stored weight tuple.  ``__post_init__``
+checks the neighbors of every row and the weights once per weight tuple.
+
 A link ``(i, j)`` is *decisive* when some subset of i's out-neighbors
 containing j has weight strictly above 1/2 but drops strictly below 1/2 once
 j is removed -- equivalently, some subset of the other neighbors has weight
@@ -35,6 +42,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,14 +91,27 @@ class InfluenceNetwork:
 
     def __post_init__(self):
         n = self.n
-        if not is_json_int(n) or n < 1:
-            raise NetworkFormatError(f"invalid node count {n!r}: a network needs at least one node")
+        _check_node_count(n)
         if len(self.integer_rows) != n:
             raise NetworkFormatError(f"expected {n} rows, got {len(self.integer_rows)}")
+        # Neighbors are checked on every row, weights once per weight tuple:
+        # rows the loader builds from one shape share one.  ``checked`` maps
+        # id(wints) to a valid row's (wints, denom).  Holding wints keeps its
+        # id from being reused, and an identity key cannot take a 1.0 or
+        # True weight for a checked 1, as an equality key would.
+        checked: dict[int, tuple] = {}
         for i, (nbrs, wints, denom) in enumerate(self.integer_rows):
+            if (
+                type(denom) is int
+                and checked.get(id(wints)) == (wints, denom)
+                and len(nbrs) == len(wints)
+                and _indices_increase(nbrs, n)
+            ):
+                continue
             fault = _row_fault(nbrs, wints, denom, n)
             if fault is not None:
                 raise NetworkFormatError(f"row {i}: {fault}")
+            checked[id(wints)] = wints, denom
 
     # -- construction -----------------------------------------------------
 
@@ -155,6 +177,27 @@ class InfluenceNetwork:
         return sum(len(nbrs) for nbrs, _, _ in self.integer_rows)
 
 
+def _check_node_count(n) -> None:
+    if not is_json_int(n) or n < 1:
+        raise NetworkFormatError(f"invalid node count {n!r}: a network needs at least one node")
+
+
+_INT = {int}
+
+
+def _indices_increase(nbrs, n: int) -> bool:
+    """Are ``nbrs`` plain ints, strictly increasing within 0..n-1?  A C-level
+    test of the common case; when it fails, ``_row_fault`` checks the row
+    rule by rule."""
+    return (
+        bool(nbrs)
+        and _INT.issuperset(map(type, nbrs))
+        and nbrs[0] >= 0
+        and nbrs[-1] < n
+        and all(map(lt, nbrs, nbrs[1:]))
+    )
+
+
 def _row_fault(nbrs, wints, denom, n: int) -> str | None:
     """What is wrong with one stored row, or None when it is valid."""
     if len(nbrs) != len(wints):
@@ -179,81 +222,115 @@ def _row_fault(nbrs, wints, denom, n: int) -> str | None:
     return None
 
 
-def _cleared(entries: list[tuple[int, Fraction]], normalize: bool = False) -> tuple:
-    """A row to store from ``(j, w)`` pairs of nonzero Fractions, unvalidated.
+def _cleared(weights: Sequence[Fraction], normalize: bool) -> tuple[tuple[int, ...], int]:
+    """The stored ``(wints, denom)`` of a row of nonzero Fractions, unvalidated.
 
     The weights become integers over their least common denominator; with
     ``normalize`` the denominator is their sum, reduced by their gcd.
     """
-    try:
-        entries.sort(key=lambda entry: entry[0])
-    except TypeError:
-        pass  # a non-int index; __post_init__ names it
-    denom = math.lcm(*(w.denominator for _, w in entries))
-    wints = tuple(w.numerator * (denom // w.denominator) for _, w in entries)
+    denom = math.lcm(*(w.denominator for w in weights))
+    wints = tuple(w.numerator * (denom // w.denominator) for w in weights)
     if normalize and wints:
         common = math.gcd(*wints)
         wints = tuple(w // common for w in wints)
         denom = sum(wints)
-    return tuple(j for j, _ in entries), wints, denom
+    return wints, denom
 
 
-def _weight_parser():
-    """``to_fraction`` for one load, parsing each distinct string once.
+class _RowShapes:
+    """The weights of one load, parsed once per token and cleared once per
+    row shape.
 
-    Only ``str`` tokens are cached: ``True``, ``1`` and ``1.0`` hash equal,
-    so a shared key would let a bool or float weight through.
+    ``code`` gives each weight token a small int: equal values share one, and
+    zero is 0, so a row drops its zero entries by their code.  A row's shape
+    is the tuple of its nonzero codes in neighbor order, and ``stored``
+    clears each distinct shape once; rows of one shape share the stored
+    ``(wints, denom)``.
     """
-    parsed: dict[str, Fraction] = {}
 
-    def parse(raw) -> Fraction:
-        if type(raw) is not str:
-            return to_fraction(raw)
-        w = parsed.get(raw)
-        if w is None:
-            w = parsed[raw] = to_fraction(raw)
-        return w
+    def __init__(self, normalize: bool = False):
+        self.normalize = normalize
+        # Only str tokens are remembered as given: True, 1 and 1.0 hash
+        # equal, so a shared key would let a bool or float weight through.
+        self._tokens: dict[str, int] = {}
+        self._values: dict[Fraction, int] = {Fraction(0): 0}
+        self._weights: list[Fraction] = [Fraction(0)]
+        self._shapes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
-    return parse
+    def code(self, raw) -> int:
+        if type(raw) is str:
+            code = self._tokens.get(raw)
+            if code is None:
+                code = self._tokens[raw] = self._value_code(to_fraction(raw))
+            return code
+        return self._value_code(to_fraction(raw))
+
+    def _value_code(self, w: Fraction) -> int:
+        code = self._values.get(w)
+        if code is None:
+            code = self._values[w] = len(self._weights)
+            self._weights.append(w)
+        return code
+
+    def stored(self, shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        known = self._shapes.get(shape)
+        if known is None:
+            weights = [self._weights[c] for c in shape]
+            known = self._shapes[shape] = _cleared(weights, self.normalize)
+        return known
 
 
 def _dense_network(n: int, rows: Sequence[Sequence]) -> InfluenceNetwork:
     """Network from ``rows`` of ``n`` weights each; zero entries are dropped."""
-    parse = _weight_parser()
-    cleared = []
+    shapes = _RowShapes()
+    stored = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NetworkFormatError(f"row {i} has {len(row)} entries, expected {n}")
-        weights = map(parse, row)
-        cleared.append(_cleared([(j, w) for j, w in enumerate(weights) if w]))
-    return InfluenceNetwork(n, tuple(cleared))
+        codes = list(map(shapes.code, row))
+        nbrs = tuple(compress(range(n), codes))
+        stored.append((nbrs, *shapes.stored(tuple(filter(None, codes)))))
+    return InfluenceNetwork(n, tuple(stored))
 
 
 def _edge_network(n: int, edges: Sequence, normalize: bool, base: int) -> InfluenceNetwork:
     """Network from ``(i, j, weight)`` triples whose nodes count from ``base``."""
-    if is_json_int(n) and n > len(edges):
-        # Checked before the buckets exist, so a huge n costs nothing.
+    # Both checked before the buckets exist, so a huge n costs nothing.
+    _check_node_count(n)
+    if n > len(edges):
         raise NetworkFormatError(
             f"n={n} but the edge list has {len(edges)} entries: every node needs a "
             "row of positive weights summing to 1"
         )
-    parse = _weight_parser()
-    buckets: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    shapes = _RowShapes(normalize)
+    code = shapes.code
+    top = n + base
+    nbr_lists: list[list] = [[] for _ in range(n)]
+    code_lists: list[list[int]] = [[] for _ in range(n)]
     for entry in edges:
         try:
             i, j, raw = entry
         except (TypeError, ValueError):
             raise NetworkFormatError(f"edge entry {entry!r} must be [i, j, weight]") from None
-        if not (is_json_int(i) and base <= i < n + base):
+        if not (type(i) is int or is_json_int(i)) or not base <= i < top:
             raise NetworkFormatError(
-                f"edge ({i!r}, {j!r}): endpoints must be ints in {base}..{n - 1 + base}"
+                f"edge ({i!r}, {j!r}): endpoints must be ints in {base}..{top - 1}"
             )
-        w = parse(raw)
-        if w:
+        c = code(raw)
+        if c:
             # Only a plain int is shifted; anything else reaches
             # __post_init__ as given, and it names it.
-            buckets[i - base].append((j - base if type(j) is int else j, w))
-    return InfluenceNetwork(n, tuple(_cleared(row, normalize) for row in buckets))
+            nbr_lists[i - base].append(j - base if type(j) is int else j)
+            code_lists[i - base].append(c)
+    stored = []
+    for nbrs, codes in zip(nbr_lists, code_lists):
+        try:
+            if not all(map(lt, nbrs, nbrs[1:])):
+                nbrs, codes = zip(*sorted(zip(nbrs, codes), key=itemgetter(0)))
+        except TypeError:
+            pass  # a non-int index; __post_init__ names it
+        stored.append((tuple(nbrs), *shapes.stored(tuple(codes))))
+    return InfluenceNetwork(n, tuple(stored))
 
 
 # -- file formats ----------------------------------------------------------
@@ -339,7 +416,12 @@ def _file_format(path: Path, fmt: str | None) -> str:
 
 
 def load_network(path, fmt: str | None = None) -> InfluenceNetwork:
-    """Load a network file; format inferred from the suffix unless given."""
+    """Load a network file; format inferred from the suffix unless given.
+
+    Each distinct weight token is parsed once, and each distinct row shape
+    cleared and its weights validated once (see the module docstring).
+    Weights in exponent notation are refused.
+    """
     path = Path(path)
     if _file_format(path, fmt) == "csv":
         return network_from_csv_text(path.read_text())

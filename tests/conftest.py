@@ -35,14 +35,18 @@ def peak_allocation(fn):
         tracemalloc.stop()
 
 
-def python_child(code: str, *argv: str, options=()) -> subprocess.CompletedProcess:
+def python_child(
+    code: str, *argv: str, options=(), timeout: float | None = None
+) -> subprocess.CompletedProcess:
     """Run ``code`` with arguments ``argv`` in a fresh interpreter, started
-    with ``options``, that imports this package's source."""
+    with ``options``, that imports this package's source.  Past ``timeout``
+    seconds the child is killed and ``subprocess.TimeoutExpired`` raised."""
     src = str(Path(median_consensus.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     return subprocess.run(
-        [sys.executable, *options, "-c", code, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *options, "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 

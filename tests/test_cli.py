@@ -539,6 +539,16 @@ class TestErrorPaths:
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: invalid JSON in deep.json: nested too deeply\n"
 
+    def test_exponent_weight_refused_at_once(self, tmp_path):
+        # Parsing "1e999999999" exactly would run until killed, so this
+        # runs in a child with a timeout.
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps({"n": 1, "edges": [[1, 1, "1e999999999"]]}))
+        code = "import sys\nfrom median_consensus import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = python_child(code, "analyze", "--network", str(path), timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot parse rational from '1e999999999'\n"
+
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])
         capsys.readouterr()

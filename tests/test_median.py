@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -109,6 +110,18 @@ class TestValidation:
     def test_string_weight_parsed(self):
         assert to_fraction("3/10") == F(3, 10)
         assert to_fraction("0.25") == F(1, 4)
+
+    @pytest.mark.parametrize("value", [0.5, 1e-05, 1e20, 1.5e-07])
+    def test_float_refusal_suggests_a_string_that_parses(self, value):
+        with pytest.raises(TypeError) as caught:
+            to_fraction(value)
+        suggested = re.search(r"like '([^']*)'", str(caught.value)).group(1)
+        assert to_fraction(suggested) == F(repr(value))
+
+    @pytest.mark.parametrize("token", ["1e3", "1E0", "2.5e-1", " -1e-2 "])
+    def test_exponent_notation_refused(self, token):
+        with pytest.raises(ValueError, match=f"^cannot parse rational from '{token}'$"):
+            to_fraction(token)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):

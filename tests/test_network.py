@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import HUGE_COUNT, oracle_networks, peak_allocation, random_coprime_rows, random_network
 from decisive_oracles import per_edge_decisive
+from row_oracles import oracle_network_fault
 from median_consensus import InfluenceNetwork, fixtures, network
 from median_consensus.dynamics import RandomSchedule, run
 from median_consensus.network import (
@@ -121,6 +122,18 @@ _RULE_CASES = {
     "count-edges": (lambda: InfluenceNetwork.from_edges(0, []), "node count"),
     "count-csv": (lambda: network_from_csv_text("0\n"), "node count"),
     "count-json": (lambda: network_from_json_dict({"n": 0, "edges": []}), "node count"),
+    "count-json-str": (
+        lambda: network_from_json_dict({"n": "2", "edges": [[1, 1, "1"], [2, 2, "1"]]}),
+        "invalid node count '2'",
+    ),
+    "count-json-float": (
+        lambda: network_from_json_dict({"n": 2.0, "edges": [[1, 1, "1"], [2, 2, "1"]]}),
+        "invalid node count 2.0",
+    ),
+    "count-edges-str": (
+        lambda: InfluenceNetwork.from_edges("2", [(0, 0, 1), (1, 1, 1)]),
+        "invalid node count '2'",
+    ),
     "rows-direct": (lambda: _direct(((0,), (1,), 1), n=2), "expected 2 rows"),
     "rows-csv": (lambda: network_from_csv_text("2\n1/2,1/2\n"), "expected 2 rows"),
     "index-direct": (lambda: _direct(((1,), (1,), 1)), "must be ints"),
@@ -700,6 +713,168 @@ class TestDecisiveWork:
         net = _tie_free_ring()
         assert decisive_subgraph(net).edges == {(i, i) for i in range(12)}
         assert row_queries[0] == 4 * 4
+
+
+def _load_work(monkeypatch, path):
+    """Load ``path`` and count its token parses (``network.to_fraction``),
+    shape clearings (``network._cleared``) and weight validations
+    (``network._row_fault``)."""
+    counts = dict.fromkeys(("to_fraction", "_cleared", "_row_fault"), 0)
+    with monkeypatch.context() as patch:
+        for name in counts:
+            def counted(*args, _inner=getattr(network, name), _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+
+            patch.setattr(network, name, counted)
+        net = load_network(path)
+    return net, tuple(counts.values())
+
+
+class TestLoadWork:
+    """Exact load work: one parse per distinct weight token, and one
+    clearing and one weight validation per row shape."""
+
+    def test_lattice_json_has_three_shapes(self, monkeypatch, tmp_path):
+        net = fixtures.lattice(100, 100)
+        save_network(net, tmp_path / "lattice.json")
+        loaded, work = _load_work(monkeypatch, tmp_path / "lattice.json")
+        assert loaded == net
+        # Tokens "1/3", "1/4" and "1/5"; rows of 3, 4 and 5 equal weights.
+        assert work == (3, 3, 3)
+
+    def test_complete_uniform_csv_has_one_shape(self, monkeypatch, tmp_path):
+        net = fixtures.complete_uniform(60)
+        save_network(net, tmp_path / "complete.csv")
+        loaded, work = _load_work(monkeypatch, tmp_path / "complete.csv")
+        assert loaded == net
+        # Tokens "0" and "1/59"; every row is 59 weights of 1/59.
+        assert work == (2, 1, 1)
+
+
+def _first_fault(build) -> str:
+    with pytest.raises(NetworkFormatError) as caught:
+        build()
+    return str(caught.value)
+
+
+def _halves(*rows):
+    """The network of a JSON payload with one 1-indexed row per argument;
+    each entry is a neighbor of weight "1/2" or a ``(neighbor, weight)``
+    pair."""
+    edges = [
+        [i, *(entry if isinstance(entry, tuple) else (entry, "1/2"))]
+        for i, row in enumerate(rows, 1)
+        for entry in row
+    ]
+    return network_from_json_dict({"n": len(rows), "edges": edges})
+
+
+class TestFirstFaultUnderSharing:
+    """Rows of one shape share one stored weight tuple, whose weights are
+    checked once; the first faulty row is still the one named."""
+
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            ([1, 1], "duplicate edge to 0"),
+            ([1, 4], "edge endpoints must be ints in 0..2, got 3"),
+        ],
+        ids=["duplicate", "range"],
+    )
+    def test_neighbor_fault_after_rows_of_its_shape(self, bad, fault):
+        assert _first_fault(lambda: _halves([1, 2], [2, 3], bad)) == f"row 2: {fault}"
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [
+            (((0, 0), None, 2), "duplicate edge to 0"),
+            (((1, 0), None, 2), "neighbor indices must increase"),
+            (((0, 3), None, 2), "edge endpoints must be ints in 0..2, got 3"),
+            (((-1, 1), None, 2), "edge endpoints must be ints in 0..2, got -1"),
+            (((0, True), None, 2), "edge endpoints must be ints in 0..2, got True"),
+            (((0, 1.0), None, 2), "edge endpoints must be ints in 0..2, got 1.0"),
+            (((0,), None, 2), "1 neighbors but 2 weights"),
+            (((0, 1), None, 2.0), "denominator must be a positive int, got 2.0"),
+            (((0, 1), None, True), "denominator must be a positive int, got True"),
+            (((0, 1), (1.0, 1), 2), "weight on 0 must be positive (integer numerator, got 1.0)"),
+            (((0, 1), (1, True), 2), "weight on 1 must be positive (integer numerator, got True)"),
+        ],
+        ids=["duplicate", "order", "range", "negative", "bool-index", "float-index", "length",
+             "float-denominator", "bool-denominator", "float-weight", "bool-weight"],
+    )
+    def test_row_sharing_or_equalling_a_checked_tuple(self, row, fault):
+        # Rows 0 and 1 are valid and hold one weight tuple object; row 2
+        # holds it too (None) or an equal tuple of other types.
+        shared = (1, 1)
+        nbrs, wints, denom = row
+        rows = (((0, 1), shared, 2), ((1, 2), shared, 2), (nbrs, wints or shared, denom))
+        assert _first_fault(lambda: _direct(*rows)) == f"row 2: {fault}"
+
+    def test_later_row_of_an_invalid_shape(self):
+        built = lambda: _halves([1, 2], [2, 3], [(1, "1/2"), (3, "1/3")])  # noqa: E731
+        assert _first_fault(built) == "row 2: weights sum to 5/6, expected exactly 1"
+
+    def test_first_of_two_faults_of_different_kinds(self):
+        sum_first = lambda: _halves([1, 2], [(2, "1/2"), (3, "1/3")], [3, 3])  # noqa: E731
+        assert _first_fault(sum_first) == "row 1: weights sum to 5/6, expected exactly 1"
+        neighbor_first = lambda: _halves([1, 2], [2, 2], [(1, "1/2"), (3, "1/3")])  # noqa: E731
+        assert _first_fault(neighbor_first) == "row 1: duplicate edge to 1"
+
+
+def _inject(rows, r: int, kind: str, n: int):
+    """``rows`` with one fault of ``kind`` put into row ``r``; some kinds
+    leave a row of one neighbor valid.  Only ``weight-type``, ``sign``,
+    ``lowest-terms`` and ``borrow`` give row r another weight tuple."""
+    nbrs, wints, denom = rows[r]
+    if kind == "duplicate" and len(nbrs) > 1:
+        nbrs = (nbrs[0], nbrs[0]) + nbrs[2:]
+    elif kind == "order":
+        nbrs = nbrs[::-1]
+    elif kind == "range":
+        nbrs = nbrs[:-1] + (n,)
+    elif kind == "negative":
+        nbrs = (-1,) + nbrs[1:]
+    elif kind == "index-type":
+        nbrs = (True if nbrs[0] == 1 else float(nbrs[0]),) + nbrs[1:]
+    elif kind == "length":
+        nbrs = nbrs[:-1]
+    elif kind == "sum":
+        denom += 1
+    elif kind == "denominator-type":
+        denom = float(denom)
+    elif kind == "weight-type":
+        wints = (True if wints[0] == 1 else float(wints[0]),) + wints[1:]
+    elif kind == "sign":
+        wints = (-wints[0],) + wints[1:]
+    elif kind == "lowest-terms":
+        wints, denom = tuple(2 * w for w in wints), 2 * denom
+    elif kind == "borrow":
+        _, wints, denom = rows[r - 1]
+    out = list(rows)
+    out[r] = (nbrs, wints, denom)
+    return tuple(out)
+
+
+_FAULT_KINDS = ("duplicate", "order", "range", "negative", "index-type", "length", "sum",
+                "denominator-type", "weight-type", "sign", "lowest-terms", "borrow")
+
+
+class TestValidationMatchesRowOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(net=oracle_networks(), data=st.data())
+    def test_one_injected_fault(self, net, data):
+        # Row r first becomes a copy of an earlier row s, holding its
+        # checked weight tuple, unless s == r; then one fault goes into it.
+        r = data.draw(st.integers(0, net.n - 1))
+        s = data.draw(st.integers(0, r))
+        rows = net.integer_rows[:r] + net.integer_rows[s:s + 1] + net.integer_rows[r + 1:]
+        rows = _inject(rows, r, data.draw(st.sampled_from(_FAULT_KINDS)), net.n)
+        expected = oracle_network_fault(net.n, rows)
+        if expected is None:
+            assert InfluenceNetwork(net.n, rows).integer_rows == rows
+        else:
+            assert _first_fault(lambda: InfluenceNetwork(net.n, rows)) == expected
 
 
 class TestGlobalReachability:
