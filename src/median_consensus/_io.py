@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import re
@@ -56,6 +58,89 @@ def opinion_from_json(raw):
                 raise ValueError(f"opinion {raw!r} has a zero denominator") from None
         return raw
     raise ValueError(f"cannot decode opinion {raw!r}")
+
+
+_INDENT = "  "
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_LISTS = frozenset({list, tuple})
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder's ``encode``, separating items as a list at ``depth``
+    does: a comma, a newline and ``depth`` indents."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+def dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, raising
+    ``TypeError`` where it does.  (A container within itself raises
+    ``RecursionError``, where json raises ``ValueError``.)
+
+    That call runs json's pure-Python encoder, which lays out every item
+    in Python.  Here dicts, and lists that hold containers, are laid out in
+    Python, and each run of scalars is one call of the C encoder with the
+    separator of its depth; so is a list of non-empty lists of scalars, such
+    as an edge list, whose inner brackets are then put on lines of their
+    own by one ``str.replace``.  The C encoder escapes newlines within
+    strings, so a raw newline only ever appears in a separator.
+    """
+    return _layout(obj, 0)
+
+
+def _layout(obj, depth: int) -> str:
+    """``obj`` laid out at ``depth``: the generic step, taken for the whole
+    value, for each dict value and for each container in a list."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        encode = _encoder(0)
+        fields = [
+            encode(_key(key)) + ": " + _layout(value, depth + 1)
+            for key, value in sorted(obj.items())
+        ]
+        newline = "\n" + _INDENT * (depth + 1)
+        return "{" + newline + ("," + newline).join(fields) + "\n" + _INDENT * depth + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _encoder(0)(obj)
+    if not obj:
+        return "[]"
+    newline = "\n" + _INDENT * (depth + 1)
+    kinds = set(map(type, obj))
+    if kinds <= _SCALARS:
+        body = _encoder(depth + 1)(obj)[1:-1]
+    elif (
+        kinds <= _LISTS
+        and all(obj)
+        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(obj)))
+    ):
+        deeper = "\n" + _INDENT * (depth + 2)
+        inner = _encoder(depth + 2)(obj)[2:-2]
+        inner = inner.replace("]," + deeper + "[", newline + "]," + newline + "[" + deeper)
+        body = "[" + deeper + inner + newline + "]"
+    else:
+        encode = _encoder(depth + 1)
+        pieces = []
+        for nested, run in itertools.groupby(obj, _is_container):
+            if nested:
+                pieces += [_layout(item, depth + 1) for item in run]
+            else:
+                pieces.append(encode(list(run))[1:-1])
+        body = ("," + newline).join(pieces)
+    return "[" + newline + body + "\n" + _INDENT * depth + "]"
+
+
+def _is_container(value) -> bool:
+    return isinstance(value, (list, tuple, dict))
+
+
+def _key(key) -> str:
+    """A dict key as json coerces it to a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encoder(0)(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def read_json(path, error=ValueError):

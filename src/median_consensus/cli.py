@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from ._io import (
-    atomic_write_text, check_int, is_json_int, opinion_from_json, opinion_to_json, read_json
+    atomic_write_text, check_int, dumps_indented, is_json_int, opinion_from_json, opinion_to_json,
+    read_json,
 )
 from .cohesion import DEFAULT_ENUMERATION_BOUND, enumerate_maximal_cohesive_sets
 from .dynamics import (
@@ -113,7 +114,7 @@ def _report(args, result: dict) -> None:
         },
         "result": result,
     }
-    _emit(args, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    _emit(args, dumps_indented(envelope) + "\n")
 
 
 def _load_net(args):
@@ -209,8 +210,8 @@ def cmd_analyze(args) -> int:
     result = {
         "n": net.n,
         "edge_count": net.edge_count,
-        "decisive_edges": sorted([i + 1, j + 1] for i, j in sub.edges),
-        "indecisive_edges": sorted([i + 1, j + 1] for i, j in sub.indecisive_edges),
+        "decisive_edges": [[i + 1, j + 1] for i, j in sorted(sub.edges)],
+        "indecisive_edges": [[i + 1, j + 1] for i, j in sorted(sub.indecisive_edges)],
         "half_ties": has_half_ties(net),
         "globally_reachable": {
             "exists": exists,

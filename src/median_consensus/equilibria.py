@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
+from collections.abc import Sized
 from dataclasses import dataclass
 
 from . import _engine
@@ -97,19 +98,22 @@ def enumerate_equilibria(
     sets, sets and states as ints with a field of bytes per node, gives
     each state once and computes no median.  Values are read once and must be
     distinct and mutually comparable; past the integer ``max_states``
-    states (k^n) it refuses before any search.
+    states (k^n) it refuses before any search, and when ``opinion_values``
+    has a length, before reading them.
     """
+    check_int("max_states", max_states)
+    if not isinstance(opinion_values, Sized):
+        opinion_values = list(opinion_values)
+    n, k = net.n, len(opinion_values)
+    count = k**n
+    if count > max_states:
+        raise ValueError(f"{k}^{n} = {count} states exceeds the budget {max_states}")
     values = list(opinion_values)
     _, labels = _engine.encode_profile(values)
     if len(labels) != len(values):
         raise ValueError("opinion_values must be distinct")
     if not labels:
         raise ValueError("need at least one opinion value")
-    check_int("max_states", max_states)
-    n, k = net.n, len(labels)
-    count = k**n
-    if count > max_states:
-        raise ValueError(f"{k}^{n} = {count} states exceeds the budget {max_states}")
     if k == 1:
         return [(labels[0],) * n]
     # Field width in bytes and its struct code: ranks up to k - 1 must fit.

@@ -36,7 +36,6 @@ holds more than 41 weights.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._io import atomic_write_text, is_json_int, read_json
+from ._io import atomic_write_text, dumps_indented, is_json_int, read_json
 from .median import to_fraction
 
 __all__ = [
@@ -77,10 +76,10 @@ class InfluenceNetwork:
     """Immutable weighted directed network with row-stochastic weights.
 
     ``integer_rows[i]`` is ``(neighbor indices, integer weights,
-    denominator)``: the indices increase, the weights are positive and sum
-    to the denominator, and the row is in lowest terms.  Equal weights
-    therefore give equal rows, whichever constructor built them, and
-    networks compare and hash by their weights.  Every constructor ends in
+    denominator)``, tuples all: the indices increase, the weights are
+    positive and sum to the denominator, and the row is in lowest terms.
+    Equal weights therefore give equal rows, whichever constructor built
+    them, and networks compare and hash by their weights.  Every constructor ends in
     ``__post_init__``, the one place where rows are validated.  ``rows``,
     ``weight`` and ``edges`` are ``Fraction`` views derived from the
     integer rows.
@@ -91,27 +90,33 @@ class InfluenceNetwork:
 
     def __post_init__(self):
         n = self.n
+        rows = self.integer_rows
         _check_node_count(n)
-        if len(self.integer_rows) != n:
-            raise NetworkFormatError(f"expected {n} rows, got {len(self.integer_rows)}")
+        if not isinstance(rows, tuple):
+            raise NetworkFormatError(f"integer_rows must be a tuple, got {type(rows).__name__}")
+        if len(rows) != n:
+            raise NetworkFormatError(f"expected {n} rows, got {len(rows)}")
         # Neighbors are checked on every row, weights once per weight tuple:
         # rows the loader builds from one shape share one.  ``checked`` maps
         # id(wints) to a valid row's (wints, denom).  Holding wints keeps its
         # id from being reused, and an identity key cannot take a 1.0 or
         # True weight for a checked 1, as an equality key would.
         checked: dict[int, tuple] = {}
-        for i, (nbrs, wints, denom) in enumerate(self.integer_rows):
-            if (
-                type(denom) is int
-                and checked.get(id(wints)) == (wints, denom)
-                and len(nbrs) == len(wints)
-                and _indices_increase(nbrs, n)
-            ):
-                continue
-            fault = _row_fault(nbrs, wints, denom, n)
+        for i, row in enumerate(rows):
+            if type(row) is tuple and len(row) == 3:
+                nbrs, wints, denom = row
+                if (
+                    type(nbrs) is tuple
+                    and type(denom) is int
+                    and checked.get(id(wints)) == (wints, denom)
+                    and len(nbrs) == len(wints)
+                    and _indices_increase(nbrs, n)
+                ):
+                    continue
+            fault = _row_fault(row, n)
             if fault is not None:
                 raise NetworkFormatError(f"row {i}: {fault}")
-            checked[id(wints)] = wints, denom
+            checked[id(row[1])] = row[1], row[2]
 
     # -- construction -----------------------------------------------------
 
@@ -198,8 +203,17 @@ def _indices_increase(nbrs, n: int) -> bool:
     )
 
 
-def _row_fault(nbrs, wints, denom, n: int) -> str | None:
-    """What is wrong with one stored row, or None when it is valid."""
+def _row_fault(row, n: int) -> str | None:
+    """What is wrong with one stored row, or None when it is valid.  Rows
+    and their fields are tuples, so that networks hash."""
+    if not (isinstance(row, tuple) and len(row) == 3):
+        return "a row must be a tuple (neighbors, weights, denominator)"
+    nbrs, wints, denom = row
+    if not (isinstance(nbrs, tuple) and isinstance(wints, tuple)):
+        return (
+            "neighbors and weights must be tuples, got "
+            f"{type(nbrs).__name__} and {type(wints).__name__}"
+        )
     if len(nbrs) != len(wints):
         return f"{len(nbrs)} neighbors but {len(wints)} weights"
     for j in nbrs:
@@ -434,7 +448,7 @@ def save_network(net: InfluenceNetwork, path, fmt: str | None = None) -> None:
     if _file_format(path, fmt) == "csv":
         text = network_to_csv_text(net)
     else:
-        text = json.dumps(network_to_json_dict(net), indent=2, sort_keys=True) + "\n"
+        text = dumps_indented(network_to_json_dict(net)) + "\n"
     atomic_write_text(path, text)
 
 

@@ -1,7 +1,8 @@
 """Row-by-row oracle for the validation in ``InfluenceNetwork.__post_init__``.
 
 ``oracle_row_fault`` checks one stored row ``(nbrs, wints, denom)`` in full,
-rule by rule, with the messages of ``network._row_fault``.  It shares
+rule by rule, with the messages of ``network._row_fault``; rows and their
+neighbor and weight fields must be tuples.  It shares
 nothing across rows, so it cannot be fooled by rows that hold the same
 weight tuple.
 """
@@ -18,6 +19,11 @@ def _json_int(raw) -> bool:
 
 def oracle_row_fault(nbrs, wints, denom, n: int) -> str | None:
     """What is wrong with one stored row, or None when it is valid."""
+    if not (isinstance(nbrs, tuple) and isinstance(wints, tuple)):
+        return (
+            "neighbors and weights must be tuples, got "
+            f"{type(nbrs).__name__} and {type(wints).__name__}"
+        )
     if len(nbrs) != len(wints):
         return f"{len(nbrs)} neighbors but {len(wints)} weights"
     for j in nbrs:
@@ -42,8 +48,10 @@ def oracle_row_fault(nbrs, wints, denom, n: int) -> str | None:
 
 def oracle_network_fault(n: int, rows) -> str | None:
     """The message for the first faulty row of ``rows``, or None."""
-    for i, (nbrs, wints, denom) in enumerate(rows):
-        fault = oracle_row_fault(nbrs, wints, denom, n)
+    for i, row in enumerate(rows):
+        if not (isinstance(row, tuple) and len(row) == 3):
+            return f"row {i}: a row must be a tuple (neighbors, weights, denominator)"
+        fault = oracle_row_fault(*row, n)
         if fault is not None:
             return f"row {i}: {fault}"
     return None

@@ -549,6 +549,21 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stderr == "error: cannot parse rational from '1e999999999'\n"
 
+    def test_label_count_past_the_budget_refused_before_reading_labels(self, tmp_path):
+        # At 99999999999 labels a list of them cannot be allocated, so the
+        # k^n refusal must come first.  Run in a child: a regression would
+        # allocate.
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"n": 2, "edges": [[1, 1, "1"], [2, 2, "1"]]}))
+        code = "import sys\nfrom median_consensus import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = python_child(
+            code, "equilibria", "--network", str(path), "--labels", "99999999999", timeout=20
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: ") and "exceeds the budget" in proc.stderr
+
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])
         capsys.readouterr()

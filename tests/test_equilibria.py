@@ -216,6 +216,17 @@ class TestEnumerateEquilibria:
         with pytest.raises(ValueError, match="state"):
             enumerate_equilibria(net, (0, 1))
 
+    def test_sized_values_past_the_budget_are_never_read(self):
+        class Unread:
+            def __len__(self):
+                return 10**6
+
+            def __iter__(self):
+                raise AssertionError("values read before the budget check")
+
+        with pytest.raises(ValueError, match=r"^1000000\^2 = .* exceeds the budget 1000$"):
+            enumerate_equilibria(fixtures.complete_uniform(2), Unread(), max_states=1000)
+
     def test_generator_of_values_is_read_once(self):
         net = fixtures.complete_uniform(3)
         assert enumerate_equilibria(net, (v for v in (0, 1))) == [(0,) * 3, (1,) * 3]

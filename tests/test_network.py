@@ -185,6 +185,15 @@ _RULE_CASES = {
     "denominator-direct": (lambda: _direct(((), (), 0)), "denominator"),
     "lowest-terms-direct": (lambda: _direct(((0,), (2,), 2)), "lowest terms"),
     "shape-direct": (lambda: _direct(((0,), (1, 1), 2)), "neighbors but"),
+    # Lists would build a network that cannot hash.
+    "container-direct": (
+        lambda: InfluenceNetwork(1, [((0,), (1,), 1)]), "integer_rows must be a tuple, got list"
+    ),
+    "row-type-direct": (lambda: _direct([(0,), (1,), 1]), r"row 0: a row must be a tuple"),
+    "row-length-direct": (lambda: _direct(((0,), (1,))), r"row 0: a row must be a tuple"),
+    "field-type-direct": (
+        lambda: _direct(([0], [1], 1)), "row 0: neighbors and weights must be tuples, got list"
+    ),
 }
 
 
@@ -799,9 +808,12 @@ class TestFirstFaultUnderSharing:
             (((0, 1), None, True), "denominator must be a positive int, got True"),
             (((0, 1), (1.0, 1), 2), "weight on 0 must be positive (integer numerator, got 1.0)"),
             (((0, 1), (1, True), 2), "weight on 1 must be positive (integer numerator, got True)"),
+            (([0, 1], None, 2), "neighbors and weights must be tuples, got list and tuple"),
+            (((0, 1), [1, 1], 2), "neighbors and weights must be tuples, got tuple and list"),
         ],
         ids=["duplicate", "order", "range", "negative", "bool-index", "float-index", "length",
-             "float-denominator", "bool-denominator", "float-weight", "bool-weight"],
+             "float-denominator", "bool-denominator", "float-weight", "bool-weight",
+             "list-neighbors", "list-weights"],
     )
     def test_row_sharing_or_equalling_a_checked_tuple(self, row, fault):
         # Rows 0 and 1 are valid and hold one weight tuple object; row 2
@@ -825,7 +837,8 @@ class TestFirstFaultUnderSharing:
 def _inject(rows, r: int, kind: str, n: int):
     """``rows`` with one fault of ``kind`` put into row ``r``; some kinds
     leave a row of one neighbor valid.  Only ``weight-type``, ``sign``,
-    ``lowest-terms`` and ``borrow`` give row r another weight tuple."""
+    ``lowest-terms``, ``borrow`` and ``list-weights`` give row r other
+    weights; ``list-row`` makes row r a list."""
     nbrs, wints, denom = rows[r]
     if kind == "duplicate" and len(nbrs) > 1:
         nbrs = (nbrs[0], nbrs[0]) + nbrs[2:]
@@ -851,13 +864,18 @@ def _inject(rows, r: int, kind: str, n: int):
         wints, denom = tuple(2 * w for w in wints), 2 * denom
     elif kind == "borrow":
         _, wints, denom = rows[r - 1]
+    elif kind == "list-neighbors":
+        nbrs = list(nbrs)
+    elif kind == "list-weights":
+        wints = list(wints)
     out = list(rows)
-    out[r] = (nbrs, wints, denom)
+    out[r] = [nbrs, wints, denom] if kind == "list-row" else (nbrs, wints, denom)
     return tuple(out)
 
 
 _FAULT_KINDS = ("duplicate", "order", "range", "negative", "index-type", "length", "sum",
-                "denominator-type", "weight-type", "sign", "lowest-terms", "borrow")
+                "denominator-type", "weight-type", "sign", "lowest-terms", "borrow",
+                "list-neighbors", "list-weights", "list-row")
 
 
 class TestValidationMatchesRowOracle:
