@@ -7,8 +7,10 @@ over a common denominator.  A median is read off a mass table
 denominator, never a Fraction with 1/2, and ``median_bounds`` decides the
 median interval.  ``update_value`` builds the table from a whole row and is
 the oracle for single steps, equilibrium checks and every memo entry of
-``decide``'s search.  Runs set up one table per node with ``median_bounds``,
-then walk each interval incrementally as opinions change
+``decide``'s search.  Runs set up a table with ``median_bounds`` only for
+rows whose weights differ, then walk each interval incrementally as
+opinions change; a row that weighs its neighbours alike keeps its
+neighbours' ranks in order and reads its interval as two order statistics
 (``dynamics._run_encoded``).  Cut margins live in ``cohesion``, and
 ``median.py`` is the readable reference.
 """

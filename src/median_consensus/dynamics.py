@@ -162,28 +162,50 @@ def _random_ticks(rng: np.random.Generator, n: int, budget: int):
 def _run_encoded(net, state, ticks, budget):
     """Core loop over an encoded state; returns (steps, converged, used).
 
-    ``hist[i]`` is node i's mass table, ``ranks[i]`` its occupied ranks in
-    order, ``lo[i]`` its lower median and ``below[i]`` the mass at or below
-    ``lo[i]``; ``_engine.median_bounds`` sets them up.  When node i moves,
-    only its weight in each listener's table moves: the listener's
-    ``below`` changes by that weight, and its lower median walks up or down
-    the adjacent occupied ranks until the mass at or below it reaches half
-    and the mass strictly below it does not.  The interval's upper end is
-    the next occupied rank exactly when that mass is half.  Node i itself
-    is stable after its move: its new value is a median of its table, and
-    moving its own weight onto that value (when it listens to itself) keeps
-    it one.
+    A row that weighs its neighbours alike (``denom == len(nbrs)``) keeps
+    ``orders[i] = (lst, (d - 1) // 2, d // 2)``, where ``lst`` holds its
+    neighbours' ranks in order with repeats: its median interval is the two
+    order statistics at those indices, since the mass at or below the lower
+    one is exactly half when they differ and above half when they are
+    equal.  Any other row keeps ``hist[i]``, its mass table, ``ranks[i]``
+    its occupied ranks in order, ``lo[i]`` its lower median and
+    ``below[i]`` the mass at or below ``lo[i]``; ``_engine.median_bounds``
+    sets them up.
+
+    When node i moves, each equal-weight listener moves one entry of its
+    list (``net.split_listeners``).  In each other listener only i's weight
+    moves: the listener's ``below`` changes by that weight, and its lower
+    median walks up or down the adjacent occupied ranks until the mass at
+    or below it reaches half and the mass strictly below it does not.  The
+    interval's upper end is the next occupied rank exactly when that mass
+    is half.  Node i itself is stable after its move: its new value is a
+    median of its row, and moving its own weight onto that value (when it
+    listens to itself) keeps it one.
     """
     rows = net.integer_rows
-    listeners = net.listener_weights
-    denoms = [row[2] for row in rows]
-    hist = [_engine.row_masses(row, state) for row in rows]
-    ranks = [sorted(h) for h in hist]
+    split = net.split_listeners
+    orders = []
+    denoms = []
+    hist = []
+    ranks = []
     lo = []
     below = []
     med = []
-    for h, rk, d, v in zip(hist, ranks, denoms, state):
-        m, b, hi = _engine.median_bounds(rk, h, d)
+    for row, v in zip(rows, state):
+        nbrs, _, d = row
+        if d == len(nbrs):
+            rk = sorted(map(state.__getitem__, nbrs))
+            orders.append((rk, (d - 1) // 2, d // 2))
+            h = b = None
+            m, hi = rk[(d - 1) // 2], rk[d // 2]
+        else:
+            orders.append(None)
+            h = _engine.row_masses(row, state)
+            rk = sorted(h)
+            m, b, hi = _engine.median_bounds(rk, h, d)
+        denoms.append(d)
+        hist.append(h)
+        ranks.append(rk)
         lo.append(m)
         below.append(b)
         med.append(m if v < m else hi if v > hi else v)
@@ -200,7 +222,20 @@ def _run_encoded(net, state, ticks, budget):
             state[i] = new
             records.append((t, i, old, new))
             unstable.discard(i)
-            nodes, wints = listeners[i]
+            equal, nodes, wints = split[i]
+            for j in equal:
+                rk, a, c = orders[j]
+                del rk[bisect_left(rk, old)]
+                insort(rk, new)
+                m = rk[a]
+                hi = rk[c]
+                v = state[j]
+                x = m if v < m else hi if v > hi else v
+                med[j] = x
+                if x != v:
+                    unstable.add(j)
+                else:
+                    unstable.discard(j)
             for j, w in zip(nodes, wints):
                 h = hist[j]
                 rk = ranks[j]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
+import sys
 from collections.abc import Sized
 from dataclasses import dataclass
 
@@ -99,15 +100,30 @@ def enumerate_equilibria(
     each state once and computes no median.  Values are read once and must be
     distinct and mutually comparable; past the integer ``max_states``
     states (k^n) it refuses before any search, and when ``opinion_values``
-    has a length, before reading them.
+    has a length, before reading them.  A range too long to list is refused
+    whatever the budget.
     """
     check_int("max_states", max_states)
     if not isinstance(opinion_values, Sized):
         opinion_values = list(opinion_values)
-    n, k = net.n, len(opinion_values)
+    n = net.n
+    try:
+        k = len(opinion_values)
+    except OverflowError:
+        if not isinstance(opinion_values, range):
+            raise
+        # A range longer than sys.maxsize: count it by its ends.
+        k = (opinion_values[-1] - opinion_values.start) // opinion_values.step + 1
     count = k**n
     if count > max_states:
-        raise ValueError(f"{k}^{n} = {count} states exceeds the budget {max_states}")
+        try:
+            shown = f"{k}^{n} = {count}"
+        except ValueError:
+            # The count is past the interpreter's limit on int-to-str digits.
+            shown = f"{k}^{n}"
+        raise ValueError(f"{shown} states exceeds the budget {max_states}")
+    if k > sys.maxsize:
+        raise ValueError(f"{k} opinion values are too many to list")
     values = list(opinion_values)
     _, labels = _engine.encode_profile(values)
     if len(labels) != len(values):

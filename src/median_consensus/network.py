@@ -177,6 +177,31 @@ class InfluenceNetwork:
                 wints[j].append(w)
         return tuple((tuple(a), tuple(b)) for a, b in zip(nodes, wints))
 
+    @cached_property
+    def split_listeners(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """For each node j: ``(equal, nodes, wints)``, the listeners of j
+        split by the kind of their row, in one pass over the rows.
+
+        ``equal`` holds the listeners whose rows weigh every neighbour alike:
+        rows are in lowest terms, so that is ``denom == len(nbrs)`` and every
+        weight is 1.  ``nodes`` and ``wints`` hold the other listeners and
+        their integer w_ij, as ``listener_weights`` does.
+        """
+        equal: list[list[int]] = [[] for _ in range(self.n)]
+        nodes: list[list[int]] = [[] for _ in range(self.n)]
+        wints: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (nbrs, ws, denom) in enumerate(self.integer_rows):
+            if denom == len(nbrs):
+                for j in nbrs:
+                    equal[j].append(i)
+            else:
+                for j, w in zip(nbrs, ws):
+                    nodes[j].append(i)
+                    wints[j].append(w)
+        return tuple(zip(map(tuple, equal), map(tuple, nodes), map(tuple, wints)))
+
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs, _, _ in self.integer_rows)

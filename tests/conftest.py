@@ -80,6 +80,32 @@ def random_network(rnd: random.Random, n: int, max_den: int = 24,
     return InfluenceNetwork.from_rows(dense)
 
 
+def mixed_row_network() -> InfluenceNetwork:
+    """Ten nodes whose rows weigh their neighbours alike beside rows that
+    do not.
+
+    Every row holds its own node and 1-4 others.  The rows of nodes 0, 3, 6
+    and 9 weigh their entries 1, 2, ... in a shuffled order; the other six
+    are equal-weight rows of 2-5 entries.
+    """
+    rnd = random.Random(0x313ED)
+    n = 10
+    dense = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        nbrs = sorted([i, *rnd.sample(others, rnd.randint(1, min(4, len(others))))])
+        if i % 3:
+            weights = [1] * len(nbrs)
+        else:
+            weights = list(range(1, len(nbrs) + 1))
+            rnd.shuffle(weights)
+        row = [Fraction(0)] * n
+        for j, w in zip(nbrs, weights):
+            row[j] = Fraction(w, sum(weights))
+        dense.append(row)
+    return InfluenceNetwork.from_rows(dense)
+
+
 _PRIMES = (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151)
 
 

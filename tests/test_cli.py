@@ -564,6 +564,20 @@ class TestErrorPaths:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: ") and "exceeds the budget" in proc.stderr
 
+    def test_label_count_past_sys_maxsize_refused(self, tmp_path):
+        # 2^63 labels cannot even be counted by len(range(...)).
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"n": 2, "edges": [[1, 1, "1"], [2, 2, "1"]]}))
+        code = "import sys\nfrom median_consensus import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = python_child(
+            code, "equilibria", "--network", str(path), "--labels", str(2**63), timeout=20
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"error: {2**63}^2 = {2**126} states exceeds the budget 1000000\n"
+        )
+
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])
         capsys.readouterr()

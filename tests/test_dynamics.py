@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    mixed_row_network,
     network_corpus,
     python_child,
     random_coprime_network,
@@ -513,11 +514,16 @@ class TestIncrementalTables:
 
     @classmethod
     def networks(cls):
+        """``network_corpus()`` brings equal-weight rows of 3, 4 and 5
+        entries with half ties (``lattice(5, 6)``); the mixed network puts
+        equal-weight and weighted rows side by side, self-loops on both;
+        ``complete_uniform(40)`` has wide equal-weight rows."""
         rnd = random.Random(0x7AB1E)
         nets = network_corpus()
         nets += [random_network(rnd, rnd.randint(2, 9)) for _ in range(12)]
         nets += [random_coprime_network(rnd, rnd.randint(2, 7)) for _ in range(6)]
         nets.append(fixtures.complete_uniform(4, self_loops=True))  # half ties
+        nets += [mixed_row_network(), fixtures.complete_uniform(40)]
         return nets + cls.dense_networks()
 
     @staticmethod
@@ -561,6 +567,20 @@ class TestIncrementalTables:
                 fast = run(net, x0, schedule)
                 assert fast == self.reference(monkeypatch, lambda: run(net, x0, schedule))
                 seq = [rnd.randrange(net.n) for _ in range(3 * net.n)]
+                fast = run(net, x0, seq)
+                assert fast == self.reference(monkeypatch, lambda: run(net, x0, seq))
+
+    def test_wide_equal_rows_with_few_labels(self, monkeypatch):
+        # Two or three labels over 39 equal weights: long runs of equal
+        # ranks, so a change often leaves both middle entries in place.
+        for net in (fixtures.complete_uniform(40), fixtures.complete_uniform(41, self_loops=True)):
+            for k in (2, 3):
+                def call():
+                    return ensemble(net, LabelUniform(k=k), 4, 17 * k).to_json_dict()
+
+                assert call() == self.reference(monkeypatch, call)
+                x0 = LabelUniform(k=k).draw(dynamics._rng(k), net.n)
+                seq = [(7 * t) % net.n for t in range(3 * net.n)]
                 fast = run(net, x0, seq)
                 assert fast == self.reference(monkeypatch, lambda: run(net, x0, seq))
 
@@ -611,3 +631,44 @@ class TestIncrementalTables:
                     assert call(1) == expected
                     if budget is None:
                         assert call(2) == expected
+
+
+class TestRunWork:
+    """Runs build a mass table (``_engine.row_masses``) only for rows whose
+    weights differ, and never read ``listener_weights``."""
+
+    @staticmethod
+    def table_builds(monkeypatch, call):
+        calls = []
+        row_masses = _engine.row_masses
+
+        def counted(row, state):
+            calls.append(row)
+            return row_masses(row, state)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_engine, "row_masses", counted)
+            call()
+        return len(calls)
+
+    def test_equal_weight_networks_build_no_table(self, monkeypatch):
+        for net in (fixtures.lattice(5, 6), fixtures.complete_uniform(12)):
+            x0 = tuple(range(net.n))
+            builds = self.table_builds(monkeypatch, lambda: run(net, x0, RandomSchedule(seed=3)))
+            assert builds == 0
+            builds = self.table_builds(
+                monkeypatch, lambda: ensemble(net, GridUniform(points=9), 3, 5)
+            )
+            assert builds == 0
+            assert "listener_weights" not in net.__dict__
+
+    def test_mixed_network_builds_one_table_per_weighted_row(self, monkeypatch):
+        net = mixed_row_network()
+        weighted = sum(d != len(nbrs) for nbrs, _, d in net.integer_rows)
+        assert weighted == 4
+        x0 = tuple(range(net.n))
+        builds = self.table_builds(monkeypatch, lambda: run(net, x0, RandomSchedule(seed=3)))
+        assert builds == weighted
+        builds = self.table_builds(monkeypatch, lambda: ensemble(net, LabelUniform(k=3), 3, 5))
+        assert builds == 3 * weighted
+        assert "listener_weights" not in net.__dict__

@@ -227,6 +227,20 @@ class TestEnumerateEquilibria:
         with pytest.raises(ValueError, match=r"^1000000\^2 = .* exceeds the budget 1000$"):
             enumerate_equilibria(fixtures.complete_uniform(2), Unread(), max_states=1000)
 
+    def test_count_too_long_to_print_is_named_by_its_power(self):
+        # 10^4400 has more digits than Python turns into a string by default.
+        net = fixtures.self_loop_nodes(4400)
+        with pytest.raises(ValueError) as refused:
+            enumerate_equilibria(net, range(10))
+        assert str(refused.value) == "10^4400 states exceeds the budget 1000000"
+
+    def test_range_too_long_to_list_refused_under_any_budget(self):
+        net = fixtures.self_loop_nodes(1)
+        with pytest.raises(ValueError, match=f"^{2**63} opinion values are too many to list$"):
+            enumerate_equilibria(net, range(2**63), max_states=2**64)
+        with pytest.raises(ValueError, match=f"^{2**64}\\^1 = {2**64} states exceeds"):
+            enumerate_equilibria(net, range(-(2**63), 2**63), max_states=2**63)
+
     def test_generator_of_values_is_read_once(self):
         net = fixtures.complete_uniform(3)
         assert enumerate_equilibria(net, (v for v in (0, 1))) == [(0,) * 3, (1,) * 3]
@@ -892,10 +906,11 @@ class _CountedReads(tuple):
         return tuple.__getitem__(self, k)
 
 
-def counted_listener_rows(net):
-    """Swap ``net.listener_weights`` for a counting copy and return it."""
-    rows = _CountedReads(net.listener_weights)
-    net.__dict__["listener_weights"] = rows
+def counted_listener_rows(net, name="listener_weights"):
+    """Swap ``net.listener_weights`` (or another cached listener table) for
+    a counting copy and return it."""
+    rows = _CountedReads(getattr(net, name))
+    net.__dict__[name] = rows
     return rows
 
 
@@ -908,12 +923,14 @@ class TestExpansionWork:
     def test_build_update_sequence(self, margin_calls):
         net = fixtures.lattice(6, 6)
         rows = counted_listener_rows(net)
+        split = counted_listener_rows(net, "split_listeners")
         x0 = GridUniform(201).draw(np.random.default_rng(6), 36)
         schedule, _ = build_update_sequence(net, x0)
         assert len(schedule) == 27
-        # 72 nodes moved below the cut with their level's class, and the 27
-        # scheduled ones.
-        assert rows.reads == 99
+        # 72 nodes moved below the cut with their level's class; the run
+        # that replays the schedule reads the split rows of its 27 moves.
+        assert rows.reads == 72
+        assert split.reads == 27
         assert margin_calls[0] == 0
 
     def test_cohesive_expansion(self, margin_calls):

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HUGE_COUNT, oracle_networks, peak_allocation, random_coprime_rows, random_network
+from conftest import (
+    HUGE_COUNT,
+    mixed_row_network,
+    oracle_networks,
+    peak_allocation,
+    random_coprime_rows,
+    random_network,
+)
 from decisive_oracles import per_edge_decisive
 from row_oracles import oracle_network_fault
 from median_consensus import InfluenceNetwork, fixtures, network
@@ -107,6 +114,22 @@ class TestConstruction:
                 for i, w in zip(nodes, wints)
             }
             assert inverted == pairs
+
+    def test_split_listeners_reassemble_listener_weights(self):
+        rnd = random.Random(6007)
+        nets = [random_network(rnd, rnd.randint(1, 7)) for _ in range(40)]
+        nets += [fixtures.lattice(5, 6), fixtures.complete_uniform(6, self_loops=True)]
+        nets += [fixtures.bridged_cliques(clique_size=3, cross="1/3"), mixed_row_network()]
+        kinds = set()
+        for net in nets:
+            rows = net.integer_rows
+            for j, (equal, nodes, wints) in enumerate(net.split_listeners):
+                assert all(rows[i][2] == len(rows[i][0]) for i in equal)
+                assert all(rows[i][2] != len(rows[i][0]) for i in nodes)
+                merged = sorted([(i, 1) for i in equal] + list(zip(nodes, wints)))
+                assert merged == list(zip(*net.listener_weights[j]))
+                kinds.add((bool(equal), bool(nodes)))
+        assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def _direct(*rows, n=None):
