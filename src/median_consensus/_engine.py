@@ -7,12 +7,12 @@ over a common denominator.  A median is read off a mass table
 denominator, never a Fraction with 1/2, and ``median_bounds`` decides the
 median interval.  ``update_value`` builds the table from a whole row and is
 the oracle for single steps, equilibrium checks and every memo entry of
-``decide``'s search.  Runs set up a table with ``median_bounds`` only for
-rows whose weights differ, then walk each interval incrementally as
-opinions change; a row that weighs its neighbours alike keeps its
-neighbours' ranks in order and reads its interval as two order statistics
-(``dynamics._run_encoded``).  Cut margins live in ``cohesion``, and
-``median.py`` is the readable reference.
+``decide``'s search.  Runs keep most rows as the sorted multiset of their
+neighbours' ranks, each repeated by its integer weight, and read the
+interval as two order statistics; only a row whose denominator is past
+``network.RANKS_PER_LINK`` times its width re-reads its median with
+``update_value`` (``dynamics._run_encoded``).  Cut margins live in
+``cohesion``, and ``median.py`` is the readable reference.
 """
 
 from __future__ import annotations
@@ -54,20 +54,20 @@ def row_masses(row, state) -> dict:
 
 
 def median_bounds(ranks, masses, denom):
-    """``(lo, below, hi)``: the median interval of a mass table.
+    """``(lo, hi)``: the median interval of a mass table.
 
     ``ranks`` are the table's occupied ranks in order and ``masses`` maps
     them to positive integer masses summing to ``denom``.  ``lo`` is the
-    first rank whose cumulative mass reaches half (the lower median) and
-    ``below`` that mass; ``hi`` is the next occupied rank when ``below`` is
-    exactly half, else ``lo``.  Ranks outside the table never become
-    interval endpoints, so the table is enough.
+    first rank whose cumulative mass reaches half (the lower median); ``hi``
+    is the next occupied rank when that mass is exactly half, else ``lo``.
+    Ranks outside the table never become interval endpoints, so the table
+    is enough.
     """
     below = 0
     for k, v in enumerate(ranks):
         below += masses[v]
         if 2 * below >= denom:
-            return v, below, ranks[k + 1] if 2 * below == denom else v
+            return v, ranks[k + 1] if 2 * below == denom else v
 
 
 def update_value(int_rows, state, i):
@@ -75,6 +75,6 @@ def update_value(int_rows, state, i):
     ``state[i]`` clamped into the median interval."""
     row = int_rows[i]
     masses = row_masses(row, state)
-    lo, _, hi = median_bounds(sorted(masses), masses, row[2])
+    lo, hi = median_bounds(sorted(masses), masses, row[2])
     v = state[i]
     return lo if v < lo else hi if v > hi else v

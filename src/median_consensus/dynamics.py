@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from . import _engine
 from ._io import check_int, is_json_int
-from .network import InfluenceNetwork
+from .network import RANKS_PER_LINK, InfluenceNetwork
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,6 +68,10 @@ class RandomSchedule:
     budget: int | None = None  # None -> default_budget(n)
 
 
+# numpy draws picks below 2^63 at most (int64), so no distribution offers more.
+_MAX_PICKS = 2**63
+
+
 @dataclass(frozen=True)
 class LabelUniform:
     """Initial distribution: each opinion iid uniform over labels 0..k-1."""
@@ -76,6 +81,8 @@ class LabelUniform:
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
         if not (is_json_int(self.k) and self.k >= 1):
             raise ValueError("need at least one label")
+        if self.k > _MAX_PICKS:
+            raise ValueError("need at most 2^63 labels")
         return tuple(int(v) for v in rng.integers(0, self.k, size=n))
 
 
@@ -89,6 +96,8 @@ class GridUniform:
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
         if not (is_json_int(self.points) and self.points >= 2):
             raise ValueError("grid needs at least two points")
+        if self.points > _MAX_PICKS:
+            raise ValueError("grid needs at most 2^63 points")
         span = self.points - 1
         picks = rng.integers(0, self.points, size=n).tolist()
         # One shared Fraction per distinct drawn index, never the whole grid.
@@ -162,52 +171,37 @@ def _random_ticks(rng: np.random.Generator, n: int, budget: int):
 def _run_encoded(net, state, ticks, budget):
     """Core loop over an encoded state; returns (steps, converged, used).
 
-    A row that weighs its neighbours alike (``denom == len(nbrs)``) keeps
-    ``orders[i] = (lst, (d - 1) // 2, d // 2)``, where ``lst`` holds its
-    neighbours' ranks in order with repeats: its median interval is the two
-    order statistics at those indices, since the mass at or below the lower
-    one is exactly half when they differ and above half when they are
-    equal.  Any other row keeps ``hist[i]``, its mass table, ``ranks[i]``
-    its occupied ranks in order, ``lo[i]`` its lower median and
-    ``below[i]`` the mass at or below ``lo[i]``; ``_engine.median_bounds``
-    sets them up.
-
-    When node i moves, each equal-weight listener moves one entry of its
-    list (``net.split_listeners``).  In each other listener only i's weight
-    moves: the listener's ``below`` changes by that weight, and its lower
-    median walks up or down the adjacent occupied ranks until the mass at
-    or below it reaches half and the mass strictly below it does not.  The
-    interval's upper end is the next occupied rank exactly when that mass
-    is half.  Node i itself is stable after its move: its new value is a
-    median of its row, and moving its own weight onto that value (when it
-    listens to itself) keeps it one.
+    A row whose ``denom`` is at most ``RANKS_PER_LINK`` times its width
+    keeps ``orders[i] = (rk, (d - 1) // 2, d // 2)``, where ``rk`` is the
+    sorted multiset of its ``d = denom`` ranks: each neighbour's rank
+    repeated by its integer weight.  Its median interval is the two order
+    statistics at those indices, since the mass at or below the lower one
+    is exactly half when they differ and above half when they are equal.
+    When node i moves, each such listener moves i's copies of its rank:
+    one ``del`` and one ``insort`` for a unit weight, one slice deletion
+    and one slice insertion for a heavier one (``net.split_listeners``).
+    A row past the cap has no list; each update re-reads its median with
+    ``_engine.update_value``.  Node i itself is stable after its move: its
+    new value is a median of its row, and moving its own weight onto that
+    value (when it listens to itself) keeps it one.
     """
     rows = net.integer_rows
     split = net.split_listeners
+    update_value = _engine.update_value
     orders = []
-    denoms = []
-    hist = []
-    ranks = []
-    lo = []
-    below = []
     med = []
-    for row, v in zip(rows, state):
-        nbrs, _, d = row
+    for i, (nbrs, ws, d) in enumerate(rows):
         if d == len(nbrs):
             rk = sorted(map(state.__getitem__, nbrs))
-            orders.append((rk, (d - 1) // 2, d // 2))
-            h = b = None
-            m, hi = rk[(d - 1) // 2], rk[d // 2]
+        elif d <= RANKS_PER_LINK * len(nbrs):
+            rk = sorted(chain.from_iterable(map(repeat, map(state.__getitem__, nbrs), ws)))
         else:
             orders.append(None)
-            h = _engine.row_masses(row, state)
-            rk = sorted(h)
-            m, b, hi = _engine.median_bounds(rk, h, d)
-        denoms.append(d)
-        hist.append(h)
-        ranks.append(rk)
-        lo.append(m)
-        below.append(b)
+            med.append(update_value(rows, state, i))
+            continue
+        orders.append((rk, (d - 1) // 2, d // 2))
+        m, hi = rk[(d - 1) // 2], rk[d // 2]
+        v = state[i]
         med.append(m if v < m else hi if v > hi else v)
     unstable = {i for i in range(net.n) if med[i] != state[i]}
     records = []
@@ -222,8 +216,8 @@ def _run_encoded(net, state, ticks, budget):
             state[i] = new
             records.append((t, i, old, new))
             unstable.discard(i)
-            equal, nodes, wints = split[i]
-            for j in equal:
+            unit, nodes, wints, wide = split[i]
+            for j in unit:
                 rk, a, c = orders[j]
                 del rk[bisect_left(rk, old)]
                 insort(rk, new)
@@ -237,52 +231,24 @@ def _run_encoded(net, state, ticks, budget):
                 else:
                     unstable.discard(j)
             for j, w in zip(nodes, wints):
-                h = hist[j]
-                rk = ranks[j]
-                m = lo[j]
-                b = below[j]
-                rest = h[old] - w
-                if rest:
-                    h[old] = rest
-                else:
-                    del h[old]
-                    del rk[bisect_left(rk, old)]
-                if new in h:
-                    h[new] += w
-                else:
-                    h[new] = w
-                    insort(rk, new)
-                if old <= m:
-                    b -= w
-                if new <= m:
-                    b += w
-                d = denoms[j]
-                if 2 * b < d:
-                    k = bisect_right(rk, m)
-                    m = rk[k]
-                    b += h[m]
-                    while 2 * b < d:
-                        k += 1
-                        m = rk[k]
-                        b += h[m]
-                elif m not in h or 2 * (b - h[m]) >= d:
-                    k = bisect_left(rk, m)
-                    if m not in h:
-                        # The lower median emptied: b is the mass up to
-                        # the occupied rank before it.
-                        k -= 1
-                        m = rk[k]
-                    while 2 * (b - h[m]) >= d:
-                        b -= h[m]
-                        k -= 1
-                        m = rk[k]
-                lo[j] = m
-                below[j] = b
-                hi = rk[bisect_right(rk, m)] if 2 * b == d else m
+                rk, a, c = orders[j]
+                k = bisect_left(rk, old)
+                del rk[k : k + w]
+                k = bisect_left(rk, new)
+                rk[k:k] = (new,) * w
+                m = rk[a]
+                hi = rk[c]
                 v = state[j]
                 x = m if v < m else hi if v > hi else v
                 med[j] = x
                 if x != v:
+                    unstable.add(j)
+                else:
+                    unstable.discard(j)
+            for j in wide:
+                x = update_value(rows, state, j)
+                med[j] = x
+                if x != state[j]:
                     unstable.add(j)
                 else:
                     unstable.discard(j)
@@ -429,9 +395,10 @@ def ensemble(
     ``draw(rng, n)`` method (:class:`LabelUniform`, :class:`GridUniform`).
     Replica ``r`` derives its own generator from ``[seed, r]``, so reports
     are identical for any worker count.  ``workers`` processes (default 1,
-    never more than ``replicas`` or the CPU count) run the replicas and
-    receive the network once.  ``seed`` must be an integer of at least 0,
-    and ``replicas``, ``budget`` and ``workers`` integers of at least 1.
+    never more than ``replicas`` or the CPU count, forked wherever the
+    platform can fork) run the replicas and receive the network once.
+    ``seed`` must be an integer of at least 0, and ``replicas``, ``budget``
+    and ``workers`` integers of at least 1.
     """
     check_int("replicas", replicas, 1)
     check_int("seed", seed, 0)
@@ -452,14 +419,19 @@ def ensemble(
             _replica_summary(net, x0_source, seed, r, eff_budget) for r in range(replicas)
         ]
     else:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # Load numpy once here, so forked workers inherit it instead of
         # each importing it again.
         import numpy  # noqa: F401
 
+        # Ask for fork by name: since Python 3.14 Linux defaults to
+        # forkserver, whose workers import everything afresh.
+        fork = "fork" in multiprocessing.get_all_start_methods()
         with ProcessPoolExecutor(
             max_workers=eff_workers,
+            mp_context=multiprocessing.get_context("fork" if fork else None),
             initializer=_init_worker,
             initargs=(net, x0_source, seed, eff_budget),
         ) as pool:

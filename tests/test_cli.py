@@ -441,6 +441,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert rc == 1 and "seed must be at least 0" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [(f"labels:{2**63 + 1}", "need at most 2^63 labels"),
+         (f"grid:{10**20}", "grid needs at most 2^63 points")],
+        ids=["labels", "grid"],
+    )
+    def test_counts_past_int64_are_named(self, complete4, command, spec, message):
+        # numpy alone would refuse them as "high is out of bounds for int64".
+        extra = ["--replicas", "2"] if command == "ensemble" else []
+        code = "import sys\nfrom median_consensus import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = python_child(
+            code, command, "--network", complete4, "--initial", spec, "--seed", "1", *extra,
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
     def test_incomparable_opinions(self, complete4, capsys):
         rc = cli.main(["simulate", "--network", complete4, "--initial", "0,a,1,2",
                        "--seed", "1"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cap_row_network,
     mixed_row_network,
     network_corpus,
     python_child,
@@ -35,6 +36,15 @@ from median_consensus import (
     step,
 )
 from median_consensus import _engine, dynamics
+from median_consensus.network import RANKS_PER_LINK
+
+
+class EvenLabels:
+    """A custom initial distribution: labels 0, 2 and 4, iid.  It lives at
+    module level, so workers that do not fork can unpickle it."""
+
+    def draw(self, rng, n):
+        return tuple(2 * v for v in rng.integers(0, 3, size=n).tolist())
 
 
 def _reference_run_encoded(net, state, ticks, budget):
@@ -263,6 +273,25 @@ class TestDistributions:
         with pytest.raises(ValueError, match=message):
             source.draw(dynamics._rng(1), 4)
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (LabelUniform(2**63 + 1), "at most 2\\^63 labels"),
+            (LabelUniform(10**20), "at most 2\\^63 labels"),
+            (GridUniform(2**63 + 1), "at most 2\\^63 points"),
+            (GridUniform(10**5000), "at most 2\\^63 points"),
+        ],
+        ids=["labels-2^63+1", "labels-10^20", "grid-2^63+1", "grid-10^5000"],
+    )
+    def test_counts_past_int64_refused(self, source, message):
+        # numpy draws no pick of 2^63 or more; the refusal names the count.
+        with pytest.raises(ValueError, match=message):
+            source.draw(dynamics._rng(1), 4)
+
+    def test_counts_up_to_2_63_drawn(self):
+        assert all(0 <= v < 2**63 for v in LabelUniform(2**63).draw(dynamics._rng(1), 8))
+        assert all(-1 <= v <= 1 for v in GridUniform(2**63).draw(dynamics._rng(1), 8))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.one_of(st.integers(2, 300), st.integers(2, 10**9), st.just(10**9)),
@@ -316,7 +345,7 @@ class TestEnsemble:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
                 initializer(*initargs)
 
@@ -354,6 +383,30 @@ class TestEnsemble:
         proc = python_child(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True True\n"
+
+    def test_spawned_workers_equal_one_worker(self, monkeypatch):
+        # The pool asks for fork by name where the platform has it.  Under
+        # spawn, as where it has not, workers import everything afresh and
+        # receive the network and the draw object, a custom class included,
+        # by pickling; the report must not change.
+        import multiprocessing
+
+        asked = []
+        get_context = multiprocessing.get_context
+
+        def spawn_context(method=None):
+            asked.append(method)
+            return get_context("spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net = mixed_row_network()
+        for source in (LabelUniform(3), EvenLabels()):
+            two = ensemble(net, source, replicas=8, seed=4, workers=2)
+            one = ensemble(net, source, replicas=8, seed=4, workers=1)
+            assert two == one and two.census == one.census
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        assert asked == ["fork" if fork else None] * 2
 
     def test_fixed_initial_census_single_pattern(self):
         net = fixtures.disjoint_cliques(clique_size=3, blocks=2)
@@ -493,8 +546,9 @@ class TestEnsemble:
 
 
 class TestIncrementalTables:
-    """``run`` and ``ensemble`` keep per-node mass tables; they must give
-    exactly what the whole-row reference loop gives."""
+    """``run`` and ``ensemble`` keep each row as a sorted multiset of ranks,
+    or re-read it past the cap; they must give exactly what the whole-row
+    reference loop gives."""
 
     @staticmethod
     def dense_networks():
@@ -517,14 +571,17 @@ class TestIncrementalTables:
         """``network_corpus()`` brings equal-weight rows of 3, 4 and 5
         entries with half ties (``lattice(5, 6)``); the mixed network puts
         equal-weight and weighted rows side by side, self-loops on both;
-        ``complete_uniform(40)`` has wide equal-weight rows."""
+        ``complete_uniform(40)`` has wide equal-weight rows; the
+        coprime networks' denominators reach about 10^20, and
+        ``cap_row_network()`` has rows at exactly ``RANKS_PER_LINK`` ranks
+        per link and rows one rank past it."""
         rnd = random.Random(0x7AB1E)
         nets = network_corpus()
         nets += [random_network(rnd, rnd.randint(2, 9)) for _ in range(12)]
         nets += [random_coprime_network(rnd, rnd.randint(2, 7)) for _ in range(6)]
         nets.append(fixtures.complete_uniform(4, self_loops=True))  # half ties
         nets += [mixed_row_network(), fixtures.complete_uniform(40)]
-        return nets + cls.dense_networks()
+        return nets + cls.dense_networks() + [cap_row_network()]
 
     @staticmethod
     def reference(monkeypatch, call):
@@ -618,7 +675,7 @@ class TestIncrementalTables:
 
     def test_ensembles_at_one_and_two_workers(self, monkeypatch):
         nets = self.networks()
-        picks = [nets[1], nets[3], nets[10], nets[26], nets[28]]
+        picks = [nets[1], nets[3], nets[10], nets[26], nets[28], nets[-1]]
         for k, net in enumerate(picks):
             for source in (LabelUniform(k=3), GridUniform(points=9)):
                 for budget in (None, 5):
@@ -634,8 +691,9 @@ class TestIncrementalTables:
 
 
 class TestRunWork:
-    """Runs build a mass table (``_engine.row_masses``) only for rows whose
-    weights differ, and never read ``listener_weights``."""
+    """Runs build a mass table (``_engine.row_masses``) only to re-read a
+    row whose denominator is past ``RANKS_PER_LINK`` times its width, and
+    never read ``listener_weights``."""
 
     @staticmethod
     def table_builds(monkeypatch, call):
@@ -662,13 +720,29 @@ class TestRunWork:
             assert builds == 0
             assert "listener_weights" not in net.__dict__
 
-    def test_mixed_network_builds_one_table_per_weighted_row(self, monkeypatch):
+    def test_mixed_network_builds_no_table(self, monkeypatch):
         net = mixed_row_network()
         weighted = sum(d != len(nbrs) for nbrs, _, d in net.integer_rows)
         assert weighted == 4
         x0 = tuple(range(net.n))
         builds = self.table_builds(monkeypatch, lambda: run(net, x0, RandomSchedule(seed=3)))
-        assert builds == weighted
+        assert builds == 0
         builds = self.table_builds(monkeypatch, lambda: ensemble(net, LabelUniform(k=3), 3, 5))
-        assert builds == 3 * weighted
+        assert builds == 0
+        assert "listener_weights" not in net.__dict__
+
+    def test_rows_past_the_cap_reread_on_each_update(self, monkeypatch):
+        # One read per row past the cap before the first tick, then one per
+        # such listener of every node that moves.
+        net = cap_row_network()
+        rows = net.integer_rows
+        wide = [i for i, (nbrs, _, d) in enumerate(rows) if d > RANKS_PER_LINK * len(nbrs)]
+        assert wide == [1, 3, 5, 7]
+        x0 = tuple(range(net.n))
+        traj = run(net, x0, RandomSchedule(seed=3))
+        builds = self.table_builds(monkeypatch, lambda: run(net, x0, RandomSchedule(seed=3)))
+        rereads = sum(len(net.split_listeners[i][3]) for _, i, _, _ in traj.steps)
+        assert builds == len(wide) + rereads == 14
+        builds = self.table_builds(monkeypatch, lambda: ensemble(net, LabelUniform(k=3), 3, 5))
+        assert builds == 54
         assert "listener_weights" not in net.__dict__

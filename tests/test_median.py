@@ -234,7 +234,7 @@ class TestEngineMedian:
         masses = _engine.row_masses(rows[0], state)
         values = tuple(state[j] for j, _ in net.rows[0])
         weights = tuple(w for _, w in net.rows[0])
-        lo, _, hi = _engine.median_bounds(sorted(masses), masses, rows[0][2])
+        lo, hi = _engine.median_bounds(sorted(masses), masses, rows[0][2])
         medians = weighted_median_set(values, weights)
         assert (lo, hi) == (medians[0], medians[-1])
         # Node 0 has no self-loop, so its own rank is only the reference.
