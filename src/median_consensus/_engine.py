@@ -5,12 +5,14 @@ as small ints (ranks) and each row's weights are pre-cleared to integers
 over a common denominator.  A median is read off a mass table
 ``{rank: integer mass}`` by comparing integer masses with the row's
 denominator, never a Fraction with 1/2, and ``median_bounds`` decides the
-median interval.  ``update_value`` builds the table from a whole row and is
-the oracle for single steps, equilibrium checks and every memo entry of
-``decide``'s search.  Runs keep most rows as the sorted multiset of their
-neighbours' ranks, each repeated by its integer weight, and read the
-interval as two order statistics; only a row whose denominator is past
-``network.RANKS_PER_LINK`` times its width re-reads its median with
+median interval.  ``encode_profile`` hashes each distinct opinion object
+once, so its hashing follows the number of objects the nodes share, not
+the number of nodes.  ``update_value`` builds the table from a whole row
+and is the oracle for single steps, equilibrium checks and every memo
+entry of ``decide``'s search.  Runs keep most rows as the sorted multiset
+of their neighbours' ranks, each repeated by its integer weight, and read
+the interval as two order statistics; only a row whose denominator is
+past ``network.RANKS_PER_LINK`` times its width re-reads its median with
 ``update_value`` (``dynamics._run_encoded``).  Cut margins live in
 ``cohesion``, and ``median.py`` is the readable reference.
 """
@@ -21,15 +23,23 @@ from __future__ import annotations
 def encode_profile(values):
     """Map a profile to rank ints; returns (state list, decode table).
 
-    One dict pass hashes each value once and gives it a first-seen code;
-    only the distinct values are sorted, and the codes are then remapped to
-    ranks.  ``table[rank]`` is the first-seen object among equal values
-    (``[1, Fraction(1)]`` keeps ``1``).  Unhashable or mutually incomparable
-    values raise ``ValueError``.
+    The profile is first held in a list, which keeps every object alive
+    while its ``id`` stands for it.  Nodes often share objects (a
+    ``GridUniform`` draw hands out at most ``points`` of them, and small
+    ints are shared by Python), so one pass keys the objects by ``id`` and
+    only the distinct objects are hashed: a dict merges equal ones by value
+    in first-seen order, only the distinct values are sorted, and each
+    node's rank is read back through its object's ``id``.  Equal but
+    distinct objects share a rank, and ``table[rank]`` is the first-seen
+    object among equal values (``[1, Fraction(1)]`` keeps ``1``).
+    Unhashable or mutually incomparable values raise ``ValueError``.
     """
+    vals = list(values)
+    ids = list(map(id, vals))
+    objects = dict(zip(ids, vals))
     codes: dict = {}
     try:
-        state = [codes.setdefault(v, len(codes)) for v in values]
+        object_codes = [codes.setdefault(v, len(codes)) for v in objects.values()]
         distinct = list(codes)
         order = sorted(range(len(distinct)), key=distinct.__getitem__)
     except TypeError as exc:
@@ -37,7 +47,8 @@ def encode_profile(values):
     rank = [0] * len(order)
     for k, code in enumerate(order):
         rank[code] = k
-    return [rank[c] for c in state], [distinct[c] for c in order]
+    rank_of = dict(zip(objects, map(rank.__getitem__, object_codes)))
+    return list(map(rank_of.__getitem__, ids)), [distinct[c] for c in order]
 
 
 def row_masses(row, state) -> dict:

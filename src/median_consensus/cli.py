@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -78,20 +80,34 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
+def _opinion_texts(values) -> dict:
+    """``id(v) -> opinion_to_json(v)`` over ``values``, converting each
+    distinct object once: a trajectory shares a few objects among all its
+    nodes and steps.  The trajectory holds every object, so no id is reused
+    while it stands for one."""
+    objects = {id(v): v for v in values}
+    return {k: opinion_to_json(v) for k, v in objects.items()}
+
+
+def _step_opinions(traj: Trajectory):
+    return chain.from_iterable(map(itemgetter(2, 3), traj.steps))
+
+
 def _trajectory_json(traj: Trajectory) -> dict:
+    text = _opinion_texts(chain(traj.initial, _step_opinions(traj), traj.terminal))
     return {
-        "initial": [opinion_to_json(v) for v in traj.initial],
-        "steps": [[t, i + 1, opinion_to_json(a), opinion_to_json(b)] for t, i, a, b in traj.steps],
-        "terminal": [opinion_to_json(v) for v in traj.terminal],
+        "initial": list(map(text.__getitem__, map(id, traj.initial))),
+        "steps": [[t, i + 1, text[id(a)], text[id(b)]] for t, i, a, b in traj.steps],
+        "terminal": list(map(text.__getitem__, map(id, traj.terminal))),
         "converged": traj.converged,
         "steps_used": traj.steps_used,
     }
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
+    text = _opinion_texts(_step_opinions(traj))
     lines = ["time,node,old,new"]
-    for t, i, a, b in traj.steps:
-        lines.append(f"{t},{i + 1},{opinion_to_json(a)},{opinion_to_json(b)}")
+    lines.extend(f"{t},{i + 1},{text[id(a)]},{text[id(b)]}" for t, i, a, b in traj.steps)
     return "\n".join(lines) + "\n"
 
 

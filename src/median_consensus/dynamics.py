@@ -161,11 +161,12 @@ def is_equilibrium(net: InfluenceNetwork, x: Sequence) -> bool:
 
 
 def _random_ticks(rng: np.random.Generator, n: int, budget: int):
-    remaining = budget
-    while remaining > 0:
-        chunk = min(4096, remaining)
-        remaining -= chunk
-        yield from rng.integers(0, n, size=chunk).tolist()
+    """``budget`` uniform picks of ``range(n)``, drawn lazily in chunks of
+    4096; the ticks come straight from the chunk lists, with no Python
+    frame resumed per tick."""
+    return chain.from_iterable(
+        rng.integers(0, n, size=min(4096, budget - k)).tolist() for k in range(0, budget, 4096)
+    )
 
 
 def _run_encoded(net, state, ticks, budget):
@@ -303,8 +304,9 @@ def _census_key(terminal: tuple) -> str:
 
     Replicas pass their terminal ranks, which give the same key as the
     decoded values since the encoding preserves order."""
-    table = {v: k for k, v in enumerate(sorted(set(terminal)))}
-    return ",".join(str(table[v]) for v in terminal)
+    distinct = sorted(set(terminal))
+    text = dict(zip(distinct, map(str, range(len(distinct)))))
+    return ",".join(map(text.__getitem__, terminal))
 
 
 @dataclass(frozen=True)
@@ -413,6 +415,8 @@ def ensemble(
         # replica or worker starts; each replica still encodes its own copy.
         x0_source = _draw_initial(x0_source, None, net.n)
         _engine.encode_profile(x0_source)
+    # Build the run tables once here, so that forked workers inherit them.
+    net.split_listeners
 
     if eff_workers == 1:
         summaries = [

@@ -385,19 +385,26 @@ class TestWithoutNumpy:
         inst.write_text("p nae3sat 2 1\n1 1 2\n")
         cert = tmp_path / "cert.json"
         assert cli.main(["decide", "--network", complete4, "--cert-out", str(cert)]) == 0
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text("[1, 3, 2, 4]")
+        simulate = ["simulate", "--network", complete4, "--initial", "0,1/2,1,1/2",
+                    "--schedule", str(schedule)]
         commands = [
             ["--version"],
             ["decide", "--network", complete4],
             ["reduce", "--instance", str(inst), "--solve"],
             ["verify-cert", "--network", complete4, "--cert", str(cert)],
             ["analyze", "--network", cliques],
+            simulate,
+            simulate + ["--emit", "csv"],
         ]
         capsys.readouterr()
         expected = []
         for argv in commands:
             rc = cli.main(argv)
             expected.append([rc, capsys.readouterr().out])
-        assert [rc for rc, _ in expected] == [0, 0, 0, 0, 0]
+        assert [rc for rc, _ in expected] == [0] * 7
+        assert expected[-1][1] == "time,node,old,new\n1,1,0,1/2\n2,3,1,1/2\n"
         # ``None`` in sys.modules makes every ``import numpy`` raise.
         code = (
             "import contextlib, io, json, sys\n"

@@ -408,6 +408,17 @@ class TestEnsemble:
         fork = "fork" in multiprocessing.get_all_start_methods()
         assert asked == ["fork" if fork else None] * 2
 
+    def test_parent_builds_run_tables_before_the_pool(self, monkeypatch):
+        # Forked workers inherit the tables instead of each building them,
+        # and the parent keeps them for its next run.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net = fixtures.lattice(5, 6)
+        assert "split_listeners" not in vars(net)
+        two = ensemble(net, GridUniform(201), replicas=4, seed=3, workers=2)
+        assert "split_listeners" in vars(net)
+        one = ensemble(fixtures.lattice(5, 6), GridUniform(201), replicas=4, seed=3, workers=1)
+        assert two == one and two.census == one.census
+
     def test_fixed_initial_census_single_pattern(self):
         net = fixtures.disjoint_cliques(clique_size=3, blocks=2)
         rep = ensemble(net, (0, 0, 0, 1, 1, 1), replicas=10, seed=3)

@@ -247,15 +247,37 @@ class TestEngineMedian:
 # and mixes: numbers with strings are incomparable, and lists unhashable.
 numbers = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 3)))
 labels = st.sampled_from(["a", "b", "ab"])
+# Objects that profiles share, some equal across types: 1 == 1.0 == F(1),
+# F(2, 4) == 0.5.
+POOL = (1, 1.0, F(1), F(2, 4), 0.5, -2, F(-3, 2), 0)
 profiles = st.one_of(
     st.lists(numbers, max_size=12),
     st.lists(labels, max_size=12),
     st.lists(st.one_of(numbers, labels, st.lists(st.integers(0, 1), max_size=1)), max_size=6),
+    st.lists(st.sampled_from(POOL), max_size=20),
 )
 
 
+class CountedHash:
+    """An opinion that counts how often it is hashed."""
+
+    def __init__(self, value):
+        self.value = value
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __lt__(self, other):
+        return self.value < other.value
+
+
 class TestEncodeProfile:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(profiles)
     def test_matches_sorted_set_oracle(self, values):
         try:
@@ -267,6 +289,22 @@ class TestEncodeProfile:
         state, table = _engine.encode_profile(values)
         assert (state, table) == expected
         assert all(got is want for got, want in zip(table, expected[1], strict=True))
+
+    def test_fresh_temporaries_keep_their_values(self):
+        # Each value is freed by its producer at once, so its id can be
+        # reused by the next; the encoding must hold every object.
+        state, table = _engine.encode_profile(F(k % 3, 2) for k in range(300))
+        assert state == [k % 3 for k in range(300)]
+        assert table == [0, F(1, 2), 1]
+
+    def test_hashes_each_distinct_object_once(self):
+        objects = [CountedHash(v) for v in (3, 1, 4, 0, 2)]
+        rng = random.Random(5)
+        values = objects + [rng.choice(objects) for _ in range(995)]
+        state, table = _engine.encode_profile(values)
+        assert [o.hashes for o in objects] == [1] * 5
+        assert state == [v.value for v in values]
+        assert [o.value for o in table] == [0, 1, 2, 3, 4]
 
     def test_keeps_first_seen_object(self):
         one = F(1)
