@@ -9,15 +9,17 @@ median interval.  ``encode_profile`` hashes each distinct opinion object
 once, so its hashing follows the number of objects the nodes share, not
 the number of nodes.  ``update_value`` builds the table from a whole row
 and is the oracle for single steps, equilibrium checks and every memo
-entry of ``decide``'s search.  Runs keep most rows as the sorted multiset
-of their neighbours' ranks, each repeated by its integer weight, and read
-the interval as two order statistics; only a row whose denominator is
-past ``network.RANKS_PER_LINK`` times its width re-reads its median with
-``update_value`` (``dynamics._run_encoded``).  Cut margins live in
-``cohesion``, and ``median.py`` is the readable reference.
+entry of ``decide``'s search.  Runs keep two masses per node instead, the
+row's mass below the node's own rank and at or below it, and read a row
+only when its node moves (``dynamics._run_encoded``); for a row that is
+not equal-weight, ``median_masses`` returns the new rank with both masses
+there.  Cut margins live in ``cohesion``, and ``median.py`` is the
+readable reference.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 
 def encode_profile(values):
@@ -79,6 +81,18 @@ def median_bounds(ranks, masses, denom):
         below += masses[v]
         if 2 * below >= denom:
             return v, ranks[k + 1] if 2 * below == denom else v
+
+
+def median_masses(row, state, v):
+    """``(x, lt, le)`` for one ``integer_rows`` entry: ``x`` is ``v`` clamped
+    into the row's median interval, and ``lt`` and ``le`` are the row's
+    masses strictly below ``x`` and at or below it."""
+    masses = row_masses(row, state)
+    ranks = sorted(masses)
+    lo, hi = median_bounds(ranks, masses, row[2])
+    x = lo if v < lo else hi if v > hi else v
+    lt = sum(map(masses.__getitem__, ranks[: bisect_left(ranks, x)]))
+    return x, lt, lt + masses.get(x, 0)
 
 
 def update_value(int_rows, state, i):

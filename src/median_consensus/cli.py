@@ -137,6 +137,25 @@ def _load_net(args):
     return load_network(args.network, fmt=args.format)
 
 
+def _decode_opinions(raws) -> tuple:
+    """Decode each distinct token once, so that equal tokens share one
+    object and ``encode_profile`` hashes it once.  The key holds the
+    token's type, so JSON ``true`` and ``1.0`` are still refused rather
+    than taken for a decoded ``1``."""
+    decoded: dict = {}
+    out = []
+    for raw in raws:
+        key = (type(raw), raw)
+        try:
+            v = decoded.get(key)
+        except TypeError:
+            raise ValueError(f"cannot decode opinion {raw!r}") from None
+        if v is None:
+            v = decoded[key] = opinion_from_json(raw)
+        out.append(v)
+    return tuple(out)
+
+
 def parse_initial_spec(spec: str):
     """Parse an --initial spec.
 
@@ -152,9 +171,9 @@ def parse_initial_spec(spec: str):
         payload = read_json(spec.split(":", 1)[1])
         if not isinstance(payload, list):
             raise ValueError("initial-state file must hold a JSON list of opinions")
-        return tuple(opinion_from_json(v) for v in payload)
+        return _decode_opinions(payload)
     if "," in spec:
-        return tuple(opinion_from_json(tok.strip()) for tok in spec.split(","))
+        return _decode_opinions(tok.strip() for tok in spec.split(","))
     raise ValueError(
         f"cannot parse initial spec {spec!r}; use labels:K, grid:P, file:PATH, "
         "or an inline comma list"

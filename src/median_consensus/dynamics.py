@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 from . import _engine
 from ._io import check_int, is_json_int
-from .network import RANKS_PER_LINK, InfluenceNetwork
+from .network import InfluenceNetwork
 
 if TYPE_CHECKING:
     import numpy as np
@@ -172,39 +172,44 @@ def _random_ticks(rng: np.random.Generator, n: int, budget: int):
 def _run_encoded(net, state, ticks, budget):
     """Core loop over an encoded state; returns (steps, converged, used).
 
-    A row whose ``denom`` is at most ``RANKS_PER_LINK`` times its width
-    keeps ``orders[i] = (rk, (d - 1) // 2, d // 2)``, where ``rk`` is the
-    sorted multiset of its ``d = denom`` ranks: each neighbour's rank
-    repeated by its integer weight.  Its median interval is the two order
-    statistics at those indices, since the mass at or below the lower one
-    is exactly half when they differ and above half when they are equal.
-    When node i moves, each such listener moves i's copies of its rank:
-    one ``del`` and one ``insort`` for a unit weight, one slice deletion
-    and one slice insertion for a heavier one (``net.split_listeners``).
-    A row past the cap has no list; each update re-reads its median with
-    ``_engine.update_value``.  Node i itself is stable after its move: its
-    new value is a median of its row, and moving its own weight onto that
-    value (when it listens to itself) keeps it one.
+    Each node j keeps two masses of its row: ``lt[j]`` on ranks below its
+    own value v and ``le[j]`` on ranks at or below it.  With d its row's
+    ``denom``, j sits at a weighted median exactly when ``2 * le[j] >= d``
+    and ``2 * lt[j] <= d``.  When node i moves between ``lo`` and ``hi``
+    (its old and new rank in order), only a listener j with v in
+    ``[lo, hi]`` changes: w_ji leaves or joins ``lt[j]`` unless v is
+    ``lo`` and ``le[j]`` unless v is ``hi``, as i moves up or down
+    (``net.listener_weights``).  A row is
+    read only when its node moves: an equal-weight row (``d ==
+    len(nbrs)``, as rows are in lowest terms) as the order statistics at
+    ``(d - 1) // 2`` and ``d // 2`` of its sorted ranks, any other row
+    through ``_engine.median_masses``.  The read sets the moved node's
+    masses at its new value, with its own weight still on ``old``; a
+    self-loop then moves that weight as any listener's.
     """
     rows = net.integer_rows
-    split = net.split_listeners
-    update_value = _engine.update_value
-    orders = []
-    med = []
-    for i, (nbrs, ws, d) in enumerate(rows):
+    listeners = net.listener_weights
+    median_masses = _engine.median_masses
+    denoms = []
+    lt = []
+    le = []
+    for v, (nbrs, ws, d) in zip(state, rows):
         if d == len(nbrs):
             rk = sorted(map(state.__getitem__, nbrs))
-        elif d <= RANKS_PER_LINK * len(nbrs):
-            rk = sorted(chain.from_iterable(map(repeat, map(state.__getitem__, nbrs), ws)))
+            a = bisect_left(rk, v)
+            b = bisect_right(rk, v, a)
         else:
-            orders.append(None)
-            med.append(update_value(rows, state, i))
-            continue
-        orders.append((rk, (d - 1) // 2, d // 2))
-        m, hi = rk[(d - 1) // 2], rk[d // 2]
-        v = state[i]
-        med.append(m if v < m else hi if v > hi else v)
-    unstable = {i for i in range(net.n) if med[i] != state[i]}
+            a = b = 0
+            for j, w in zip(nbrs, ws):
+                u = state[j]
+                if u <= v:
+                    b += w
+                    if u < v:
+                        a += w
+        denoms.append(d)
+        lt.append(a)
+        le.append(b)
+    unstable = {i for i, d in enumerate(denoms) if 2 * le[i] < d or 2 * lt[i] > d}
     records = []
     if not unstable:
         return records, True, 0
@@ -213,46 +218,34 @@ def _run_encoded(net, state, ticks, budget):
         t += 1
         if i in unstable:
             old = state[i]
-            new = med[i]
+            row = nbrs, _, d = rows[i]
+            if d == len(nbrs):
+                rk = sorted(map(state.__getitem__, nbrs))
+                # An unstable node lies outside its median interval.
+                m = rk[(d - 1) // 2]
+                new = m if old < m else rk[d // 2]
+                a = lt[i] = bisect_left(rk, new)
+                le[i] = bisect_right(rk, new, a)
+            else:
+                new, lt[i], le[i] = median_masses(row, state, old)
             state[i] = new
             records.append((t, i, old, new))
             unstable.discard(i)
-            unit, nodes, wints, wide = split[i]
-            for j in unit:
-                rk, a, c = orders[j]
-                del rk[bisect_left(rk, old)]
-                insort(rk, new)
-                m = rk[a]
-                hi = rk[c]
+            nodes, ws = listeners[i]
+            # Masses fall by w_ji when i moves up and rise when it moves down.
+            lo, hi, sign = (old, new, -1) if old < new else (new, old, 1)
+            for j, w in zip(nodes, ws):
                 v = state[j]
-                x = m if v < m else hi if v > hi else v
-                med[j] = x
-                if x != v:
-                    unstable.add(j)
-                else:
-                    unstable.discard(j)
-            for j, w in zip(nodes, wints):
-                rk, a, c = orders[j]
-                k = bisect_left(rk, old)
-                del rk[k : k + w]
-                k = bisect_left(rk, new)
-                rk[k:k] = (new,) * w
-                m = rk[a]
-                hi = rk[c]
-                v = state[j]
-                x = m if v < m else hi if v > hi else v
-                med[j] = x
-                if x != v:
-                    unstable.add(j)
-                else:
-                    unstable.discard(j)
-            for j in wide:
-                x = update_value(rows, state, j)
-                med[j] = x
-                if x != state[j]:
-                    unstable.add(j)
-                else:
-                    unstable.discard(j)
+                if lo <= v <= hi:
+                    if v != lo:
+                        lt[j] += sign * w
+                    if v != hi:
+                        le[j] += sign * w
+                    d = denoms[j]
+                    if 2 * le[j] < d or 2 * lt[j] > d:
+                        unstable.add(j)
+                    else:
+                        unstable.discard(j)
             if not unstable:
                 return records, True, t
     return records, False, budget
@@ -415,8 +408,8 @@ def ensemble(
         # replica or worker starts; each replica still encodes its own copy.
         x0_source = _draw_initial(x0_source, None, net.n)
         _engine.encode_profile(x0_source)
-    # Build the run tables once here, so that forked workers inherit them.
-    net.split_listeners
+    # Build the listener table once here, so that forked workers inherit it.
+    net.listener_weights
 
     if eff_workers == 1:
         summaries = [

@@ -67,13 +67,6 @@ __all__ = [
 ]
 
 
-# A run keeps a row as the sorted list of its ``denom`` ranks while ``denom``
-# is at most this many times the row's width, so the list holds at most
-# this many entries per link; a row past it re-reads its median on each
-# update (``dynamics._run_encoded``).
-RANKS_PER_LINK = 64
-
-
 class NetworkFormatError(ValueError):
     """Raised when a network file or payload fails validation."""
 
@@ -175,7 +168,8 @@ class InfluenceNetwork:
 
         Each weight is on the listener's own denominator in ``integer_rows``,
         so a change of x_j moves exactly that much of i's row mass from the
-        old opinion to the new one.
+        old opinion to the new one.  Runs (``dynamics._run_encoded``) and
+        cuts (``cohesion``) shift their listeners' masses by these rows.
         """
         nodes: list[list[int]] = [[] for _ in range(self.n)]
         wints: list[list[int]] = [[] for _ in range(self.n)]
@@ -184,44 +178,6 @@ class InfluenceNetwork:
                 nodes[j].append(i)
                 wints[j].append(w)
         return tuple((tuple(a), tuple(b)) for a, b in zip(nodes, wints))
-
-    @cached_property
-    def split_listeners(
-        self,
-    ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-        """For each node j: ``(unit, nodes, wints, wide)``, the listeners of
-        j split by how a run updates their rows, in one pass over the rows.
-
-        A run keeps a row whose ``denom`` is at most ``RANKS_PER_LINK``
-        times its width as the sorted multiset of its neighbours' ranks,
-        each repeated w_ij times.  Of those rows, ``unit`` holds the
-        listeners that weigh j by 1, so a change of x_j moves one rank, and
-        ``nodes`` and ``wints`` the others with their integer w_ij.  A row
-        that weighs every neighbour alike (``denom == len(nbrs)``, as rows
-        are in lowest terms) is all unit links.  ``wide`` holds the
-        listeners whose rows are past that cap.
-        """
-        unit: list[list[int]] = [[] for _ in range(self.n)]
-        nodes: list[list[int]] = [[] for _ in range(self.n)]
-        wints: list[list[int]] = [[] for _ in range(self.n)]
-        wide: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (nbrs, ws, denom) in enumerate(self.integer_rows):
-            if denom == len(nbrs):
-                for j in nbrs:
-                    unit[j].append(i)
-            elif denom <= RANKS_PER_LINK * len(nbrs):
-                for j, w in zip(nbrs, ws):
-                    if w == 1:
-                        unit[j].append(i)
-                    else:
-                        nodes[j].append(i)
-                        wints[j].append(w)
-            else:
-                for j in nbrs:
-                    wide[j].append(i)
-        return tuple(
-            zip(map(tuple, unit), map(tuple, nodes), map(tuple, wints), map(tuple, wide))
-        )
 
     @property
     def edge_count(self) -> int:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import median_consensus
 from median_consensus import InfluenceNetwork, Nae3SatInstance, fixtures
-from median_consensus.network import RANKS_PER_LINK
 
 
 # A header that declares 10**6 nodes or variables costs tens of MB when
@@ -131,20 +130,19 @@ def random_coprime_rows(rnd: random.Random, n: int) -> list[list[Fraction]]:
 
 
 def cap_row_network() -> InfluenceNetwork:
-    """Eight nodes whose rows sit on either side of ``RANKS_PER_LINK``.
+    """Eight nodes whose rows have large denominators for their width.
 
     Every row holds its own node and 1-4 others, one of them at weight 1
     and the rest heavier, in a shuffled order.  Even nodes' rows have a
-    denominator of exactly ``RANKS_PER_LINK`` times their width, so runs
-    keep them as sorted lists of ranks; odd nodes' rows have one more, so
-    runs re-read their medians.
+    denominator of exactly 64 times their width and odd nodes' rows one
+    more, so no row is equal-weight and every self-loop is weighted.
     """
     rnd = random.Random(0xCA9)
     n = 8
     edges = []
     for i in range(n):
         nbrs = [i, *rnd.sample([j for j in range(n) if j != i], rnd.randint(1, 4))]
-        d = RANKS_PER_LINK * len(nbrs) + i % 2
+        d = 64 * len(nbrs) + i % 2
         cuts = sorted(rnd.sample(range(1, d - 1), len(nbrs) - 2))
         weights = [1] + [b - a for a, b in zip([0, *cuts], [*cuts, d - 1])]
         rnd.shuffle(weights)

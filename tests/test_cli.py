@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_COUNT, peak_allocation, python_child
-from median_consensus import cli, equilibria, fixtures
+from median_consensus import GridUniform, cli, dynamics, equilibria, fixtures
+from median_consensus._io import opinion_from_json, opinion_to_json
 from median_consensus.network import save_network
 
 
@@ -83,6 +84,44 @@ class TestSimulate:
         )
         assert rc == 0
         assert _capture(capsys)["result"]["initial"] == [0, 1, 1, 0]
+
+    def test_initial_file_shares_one_object_per_token(self, tmp_path, monkeypatch, capsys):
+        # 10,000 draws of a 201-point grid: each distinct token is decoded
+        # once, and the report equals one that decodes every token alone.
+        net_path = tmp_path / "lattice.json"
+        save_network(fixtures.lattice(100, 100), net_path, fmt="json")
+        values = GridUniform(201).draw(dynamics._rng(28), 10_000)
+        init = tmp_path / "x0.json"
+        init.write_text(json.dumps([opinion_to_json(v) for v in values]))
+        spec = f"file:{init}"
+        decoded = cli.parse_initial_spec(spec)
+        assert decoded == values
+        assert len(set(map(id, decoded))) <= 201
+        argv = ["simulate", "--network", str(net_path), "--initial", spec, "--seed", "4"]
+        assert cli.main(argv) == 0
+        shared = capsys.readouterr().out
+
+        def one_by_one(raws):
+            return tuple(map(opinion_from_json, raws))
+
+        monkeypatch.setattr(cli, "_decode_opinions", one_by_one)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shared
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, True], "booleans are not opinions"),
+            ([1, 1.0], "cannot decode opinion 1.0"),
+            ([1, [1]], r"cannot decode opinion \[1\]"),
+            (["a", {"a": 1}], "cannot decode opinion"),
+        ],
+    )
+    def test_initial_file_refusals_after_equal_tokens(self, tmp_path, payload, message):
+        init = tmp_path / "x0.json"
+        init.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            cli.parse_initial_spec(f"file:{init}")
 
     def test_wrong_length_initial(self, complete4, capsys):
         rc = cli.main(["simulate", "--network", complete4, "--initial", "0,1", "--seed", "1"])

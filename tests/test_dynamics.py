@@ -14,6 +14,7 @@ from conftest import (
     cap_row_network,
     mixed_row_network,
     network_corpus,
+    oracle_networks,
     python_child,
     random_coprime_network,
     random_network,
@@ -36,7 +37,6 @@ from median_consensus import (
     step,
 )
 from median_consensus import _engine, dynamics
-from median_consensus.network import RANKS_PER_LINK
 
 
 class EvenLabels:
@@ -413,9 +413,9 @@ class TestEnsemble:
         # and the parent keeps them for its next run.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         net = fixtures.lattice(5, 6)
-        assert "split_listeners" not in vars(net)
+        assert "listener_weights" not in vars(net)
         two = ensemble(net, GridUniform(201), replicas=4, seed=3, workers=2)
-        assert "split_listeners" in vars(net)
+        assert "listener_weights" in vars(net)
         one = ensemble(fixtures.lattice(5, 6), GridUniform(201), replicas=4, seed=3, workers=1)
         assert two == one and two.census == one.census
 
@@ -557,8 +557,8 @@ class TestEnsemble:
 
 
 class TestIncrementalTables:
-    """``run`` and ``ensemble`` keep each row as a sorted multiset of ranks,
-    or re-read it past the cap; they must give exactly what the whole-row
+    """``run`` and ``ensemble`` keep two masses per node and read a row only
+    when its node moves; they must give exactly what the whole-row
     reference loop gives."""
 
     @staticmethod
@@ -584,8 +584,8 @@ class TestIncrementalTables:
         equal-weight and weighted rows side by side, self-loops on both;
         ``complete_uniform(40)`` has wide equal-weight rows; the
         coprime networks' denominators reach about 10^20, and
-        ``cap_row_network()`` has rows at exactly ``RANKS_PER_LINK`` ranks
-        per link and rows one rank past it."""
+        ``cap_row_network()`` has weighted self-loops and denominators of 64
+        times a row's width and one more."""
         rnd = random.Random(0x7AB1E)
         nets = network_corpus()
         nets += [random_network(rnd, rnd.randint(2, 9)) for _ in range(12)]
@@ -671,6 +671,29 @@ class TestIncrementalTables:
             assert fast == run(net, x0, schedule)
         assert fast.replay() == fast.terminal
 
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_networks(), st.data())
+    def test_oracle_networks_match_reference_property(self, net, data):
+        # "half" and "coprime" rows put twice a mass exactly on the row's
+        # denominator, so nodes sit on the edge of their median intervals.
+        labels = data.draw(st.integers(1, 3))
+        x0 = data.draw(st.lists(st.integers(0, labels), min_size=net.n, max_size=net.n))
+        schedule = data.draw(
+            st.one_of(
+                st.builds(
+                    RandomSchedule,
+                    seed=st.integers(0, 2**32 - 1),
+                    budget=st.one_of(st.none(), st.integers(1, 40)),
+                ),
+                st.lists(st.integers(0, net.n - 1), min_size=1, max_size=6 * net.n),
+            )
+        )
+        fast = run(net, x0, schedule)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(dynamics, "_run_encoded", _reference_run_encoded)
+            assert fast == run(net, x0, schedule)
+        assert fast.replay() == fast.terminal
+
     def test_dense_ensemble_matches_reference_at_one_and_two_workers(self, monkeypatch):
         net = fixtures.complete_uniform(16)
         for seed in (0, 41):
@@ -702,9 +725,9 @@ class TestIncrementalTables:
 
 
 class TestRunWork:
-    """Runs build a mass table (``_engine.row_masses``) only to re-read a
-    row whose denominator is past ``RANKS_PER_LINK`` times its width, and
-    never read ``listener_weights``."""
+    """Runs build a mass table (``_engine.row_masses``) once per move of a
+    node whose row is not equal-weight, and never on a listener update:
+    listeners shift two masses by their ``listener_weights`` rows."""
 
     @staticmethod
     def table_builds(monkeypatch, call):
@@ -720,6 +743,11 @@ class TestRunWork:
             call()
         return len(calls)
 
+    @staticmethod
+    def weighted_moves(net, traj):
+        rows = net.integer_rows
+        return sum(rows[i][2] != len(rows[i][0]) for _, i, _, _ in traj.steps)
+
     def test_equal_weight_networks_build_no_table(self, monkeypatch):
         for net in (fixtures.lattice(5, 6), fixtures.complete_uniform(12)):
             x0 = tuple(range(net.n))
@@ -729,31 +757,26 @@ class TestRunWork:
                 monkeypatch, lambda: ensemble(net, GridUniform(points=9), 3, 5)
             )
             assert builds == 0
-            assert "listener_weights" not in net.__dict__
 
-    def test_mixed_network_builds_no_table(self, monkeypatch):
+    def test_mixed_network_reads_weighted_rows_once_per_move(self, monkeypatch):
         net = mixed_row_network()
         weighted = sum(d != len(nbrs) for nbrs, _, d in net.integer_rows)
         assert weighted == 4
         x0 = tuple(range(net.n))
+        traj = run(net, x0, RandomSchedule(seed=3))
         builds = self.table_builds(monkeypatch, lambda: run(net, x0, RandomSchedule(seed=3)))
-        assert builds == 0
+        assert len(traj.steps) == 6
+        assert builds == self.weighted_moves(net, traj) == 3
         builds = self.table_builds(monkeypatch, lambda: ensemble(net, LabelUniform(k=3), 3, 5))
-        assert builds == 0
-        assert "listener_weights" not in net.__dict__
+        assert builds == 6
 
-    def test_rows_past_the_cap_reread_on_each_update(self, monkeypatch):
-        # One read per row past the cap before the first tick, then one per
-        # such listener of every node that moves.
+    def test_large_denominator_rows_read_once_per_move(self, monkeypatch):
+        # No row is equal-weight, so every move reads its row once, and
+        # listener updates read none.
         net = cap_row_network()
-        rows = net.integer_rows
-        wide = [i for i, (nbrs, _, d) in enumerate(rows) if d > RANKS_PER_LINK * len(nbrs)]
-        assert wide == [1, 3, 5, 7]
         x0 = tuple(range(net.n))
         traj = run(net, x0, RandomSchedule(seed=3))
         builds = self.table_builds(monkeypatch, lambda: run(net, x0, RandomSchedule(seed=3)))
-        rereads = sum(len(net.split_listeners[i][3]) for _, i, _, _ in traj.steps)
-        assert builds == len(wide) + rereads == 14
+        assert builds == len(traj.steps) == self.weighted_moves(net, traj) == 8
         builds = self.table_builds(monkeypatch, lambda: ensemble(net, LabelUniform(k=3), 3, 5))
-        assert builds == 54
-        assert "listener_weights" not in net.__dict__
+        assert builds == 23

@@ -906,11 +906,10 @@ class _CountedReads(tuple):
         return tuple.__getitem__(self, k)
 
 
-def counted_listener_rows(net, name="listener_weights"):
-    """Swap ``net.listener_weights`` (or another cached listener table) for
-    a counting copy and return it."""
-    rows = _CountedReads(getattr(net, name))
-    net.__dict__[name] = rows
+def counted_listener_rows(net):
+    """Swap ``net.listener_weights`` for a counting copy and return it."""
+    rows = _CountedReads(net.listener_weights)
+    net.__dict__["listener_weights"] = rows
     return rows
 
 
@@ -923,14 +922,12 @@ class TestExpansionWork:
     def test_build_update_sequence(self, margin_calls):
         net = fixtures.lattice(6, 6)
         rows = counted_listener_rows(net)
-        split = counted_listener_rows(net, "split_listeners")
         x0 = GridUniform(201).draw(np.random.default_rng(6), 36)
         schedule, _ = build_update_sequence(net, x0)
         assert len(schedule) == 27
-        # 72 nodes moved below the cut with their level's class; the run
-        # that replays the schedule reads the split rows of its 27 moves.
-        assert rows.reads == 72
-        assert split.reads == 27
+        # 72 nodes moved below the cut with their level's class, and the run
+        # that replays the schedule reads the rows of its 27 moves.
+        assert rows.reads == 72 + 27
         assert margin_calls[0] == 0
 
     def test_cohesive_expansion(self, margin_calls):

@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     HUGE_COUNT,
-    cap_row_network,
-    mixed_row_network,
     oracle_networks,
     peak_allocation,
-    random_coprime_network,
     random_coprime_rows,
     random_network,
 )
@@ -116,28 +113,6 @@ class TestConstruction:
                 for i, w in zip(nodes, wints)
             }
             assert inverted == pairs
-
-    def test_split_listeners_reassemble_listener_weights(self):
-        rnd = random.Random(6007)
-        nets = [random_network(rnd, rnd.randint(1, 7)) for _ in range(40)]
-        nets += [random_coprime_network(rnd, rnd.randint(2, 7)) for _ in range(6)]
-        nets += [fixtures.lattice(5, 6), fixtures.complete_uniform(6, self_loops=True)]
-        nets += [fixtures.bridged_cliques(clique_size=3, cross="1/3"), mixed_row_network()]
-        nets.append(cap_row_network())
-        cap = network.RANKS_PER_LINK
-        kinds = set()
-        for net in nets:
-            rows = net.integer_rows
-            past = {i for i, (nbrs, _, d) in enumerate(rows) if d > cap * len(nbrs)}
-            for j, (unit, nodes, wints, wide) in enumerate(net.split_listeners):
-                assert past.isdisjoint(unit + nodes) and past.issuperset(wide)
-                assert all(w > 1 for w in wints)
-                merged = [(i, 1) for i in unit] + list(zip(nodes, wints))
-                merged += [(i, rows[i][1][rows[i][0].index(j)]) for i in wide]
-                assert sorted(merged) == list(zip(*net.listener_weights[j]))
-                kinds.add((bool(unit), bool(nodes), bool(wide)))
-        assert {(True, False, False), (False, True, False), (False, False, True)} <= kinds
-        assert (True, True, True) in kinds and (False, False, False) in kinds
 
 
 def _direct(*rows, n=None):
