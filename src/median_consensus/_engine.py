@@ -7,7 +7,11 @@ over a common denominator.  A median is read off a mass table
 denominator, never a Fraction with 1/2, and ``median_bounds`` decides the
 median interval.  ``encode_profile`` hashes each distinct opinion object
 once, so its hashing follows the number of objects the nodes share, not
-the number of nodes.  ``update_value`` builds the table from a whole row
+the number of nodes.  It encodes the states of ``run``, ``step``,
+``is_equilibrium`` and the searches, a fixed ensemble state once per
+ensemble, and a custom ``draw`` once per replica; replicas of
+``LabelUniform`` and ``GridUniform`` start from their integer picks and
+encode nothing.  ``update_value`` builds the table from a whole row
 and is the oracle for single steps, equilibrium checks and every memo
 entry of ``decide``'s search.  Runs keep two masses per node instead, the
 row's mass below the node's own rank and at or below it, and read a row
@@ -27,9 +31,9 @@ def encode_profile(values):
 
     The profile is first held in a list, which keeps every object alive
     while its ``id`` stands for it.  Nodes often share objects (a
-    ``GridUniform`` draw hands out at most ``points`` of them, and small
-    ints are shared by Python), so one pass keys the objects by ``id`` and
-    only the distinct objects are hashed: a dict merges equal ones by value
+    ``GridUniform`` draw handed to ``run`` holds at most ``points`` of
+    them, and small ints are shared by Python), so one pass keys the
+    objects by ``id`` and only the distinct objects are hashed: a dict merges equal ones by value
     in first-seen order, only the distinct values are sorted, and each
     node's rank is read back through its object's ``id``.  Equal but
     distinct objects share a rank, and ``table[rank]`` is the first-seen

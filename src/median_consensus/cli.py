@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import chain
 from operator import itemgetter
@@ -30,6 +31,7 @@ from .dynamics import (
     LabelUniform,
     RandomSchedule,
     Trajectory,
+    _MAX_PICKS,
     _draw_initial,
     _rng,
     default_budget,
@@ -156,6 +158,26 @@ def _decode_opinions(raws) -> tuple:
     return tuple(out)
 
 
+_COUNT_RE = re.compile(r"-?[0-9]+")
+
+
+def _spec_count(spec: str) -> int:
+    """The K of ``labels:K`` or P of ``grid:P``: ASCII ``-?[0-9]+`` only,
+    so no ``1_000``, no non-ASCII digit and no blank.  A count with more
+    digits than 2^63 stands in as 2^63 + 1 (or -1 if negative), which the
+    distribution refuses in its own words, so its digits are never
+    converted."""
+    text = spec.split(":", 1)[1]
+    if not _COUNT_RE.fullmatch(text):
+        raise ValueError(f"cannot parse initial spec {spec!r}; its count must be an integer")
+    negative = text.startswith("-")
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) > len(str(_MAX_PICKS)):
+        return -1 if negative else _MAX_PICKS + 1
+    count = int(digits or "0")
+    return -count if negative else count
+
+
 def parse_initial_spec(spec: str):
     """Parse an --initial spec.
 
@@ -164,9 +186,9 @@ def parse_initial_spec(spec: str):
     opinions), or an inline comma list such as ``0,1,1/2``.
     """
     if spec.startswith("labels:"):
-        return LabelUniform(k=int(spec.split(":", 1)[1]))
+        return LabelUniform(k=_spec_count(spec))
     if spec.startswith("grid:"):
-        return GridUniform(points=int(spec.split(":", 1)[1]))
+        return GridUniform(points=_spec_count(spec))
     if spec.startswith("file:"):
         payload = read_json(spec.split(":", 1)[1])
         if not isinstance(payload, list):

@@ -74,32 +74,48 @@ _MAX_PICKS = 2**63
 
 @dataclass(frozen=True)
 class LabelUniform:
-    """Initial distribution: each opinion iid uniform over labels 0..k-1."""
+    """Initial distribution: each opinion iid uniform over labels 0..k-1.
+
+    A label is its own rank, so ensemble replicas run on ``picks``
+    directly, and ``draw`` is the same labels as a tuple."""
 
     k: int
 
-    def draw(self, rng: np.random.Generator, n: int) -> tuple:
+    def picks(self, rng: np.random.Generator, n: int) -> list:
+        """The n drawn labels, one ``rng.integers`` call."""
         if not (is_json_int(self.k) and self.k >= 1):
             raise ValueError("need at least one label")
         if self.k > _MAX_PICKS:
             raise ValueError("need at most 2^63 labels")
-        return tuple(int(v) for v in rng.integers(0, self.k, size=n))
+        return rng.integers(0, self.k, size=n).tolist()
+
+    def draw(self, rng: np.random.Generator, n: int) -> tuple:
+        return tuple(self.picks(rng, n))
 
 
 @dataclass(frozen=True)
 class GridUniform:
     """Initial distribution: iid uniform over an evenly spaced rational grid
-    of `points` values covering [-1, 1]."""
+    of `points` values covering [-1, 1].
+
+    ``picks`` draws grid indices; index k stands for (2k - span) / span,
+    with span = points - 1, which rises strictly with k, so the indices
+    order the nodes as their values do.  Ensemble replicas run on the
+    indices, and only ``draw`` builds Fractions."""
 
     points: int = 201
 
-    def draw(self, rng: np.random.Generator, n: int) -> tuple:
+    def picks(self, rng: np.random.Generator, n: int) -> list:
+        """The n drawn grid indices, one ``rng.integers`` call."""
         if not (is_json_int(self.points) and self.points >= 2):
             raise ValueError("grid needs at least two points")
         if self.points > _MAX_PICKS:
             raise ValueError("grid needs at most 2^63 points")
+        return rng.integers(0, self.points, size=n).tolist()
+
+    def draw(self, rng: np.random.Generator, n: int) -> tuple:
+        picks = self.picks(rng, n)
         span = self.points - 1
-        picks = rng.integers(0, self.points, size=n).tolist()
         # One shared Fraction per distinct drawn index, never the whole grid.
         grid = {k: Fraction(2 * k - span, span) for k in set(picks)}
         return tuple(map(grid.__getitem__, picks))
@@ -350,13 +366,22 @@ def _draw_initial(x0_source, rng: np.random.Generator, n: int) -> tuple:
 
 
 def _replica_summary(net, x0_source, base_seed, r, budget):
+    """Replica ``r``: its generator ``[base_seed, r]`` draws the initial
+    state, then the ticks.  The run starts from ranks: the picks of an exact
+    ``LabelUniform`` or ``GridUniform`` (a subclass may override ``draw``),
+    a copy of a fixed state's ranks, or, for any other ``draw`` object, its
+    draw encoded."""
     rng = _rng([base_seed, r])
-    x0 = _draw_initial(x0_source, rng, net.n)
-    state, _ = _engine.encode_profile(x0)
+    if type(x0_source) in (LabelUniform, GridUniform):
+        state = x0_source.picks(rng, net.n)
+    elif hasattr(x0_source, "draw"):
+        state, _ = _engine.encode_profile(_draw_initial(x0_source, rng, net.n))
+    else:
+        state = x0_source.copy()
     ticks = _random_ticks(rng, net.n, budget)
     _, converged, used = _run_encoded(net, state, ticks, budget)
-    # The encoding preserves order, so consensus and the census read the
-    # terminal ranks as they would the decoded values.
+    # The ranks order the nodes as their values do, so consensus and the
+    # census read the terminal ranks as they would the decoded values.
     consensus = converged and len(set(state)) == 1
     return converged, consensus, used, _census_key(state)
 
@@ -388,10 +413,14 @@ def ensemble(
 
     ``x0_source`` is either a fixed state or a distribution object with a
     ``draw(rng, n)`` method (:class:`LabelUniform`, :class:`GridUniform`).
-    Replica ``r`` derives its own generator from ``[seed, r]``, so reports
-    are identical for any worker count.  ``workers`` processes (default 1,
-    never more than ``replicas`` or the CPU count, forked wherever the
-    platform can fork) run the replicas and receive the network once.
+    Replicas of a :class:`LabelUniform` or :class:`GridUniform` run on its
+    integer picks, so no replica builds or encodes opinion values; a fixed
+    state is encoded once, and another ``draw`` object's draw once per
+    replica.  Replica ``r`` derives its own generator from ``[seed, r]``,
+    so reports are identical for any worker count.  ``workers`` processes
+    (default 1, never more than ``replicas`` or the CPU count, forked
+    wherever the platform can fork) run the replicas and receive the
+    network once, and the fixed state's ranks or the draw object.
     ``seed`` must be an integer of at least 0, and ``replicas``, ``budget``
     and ``workers`` integers of at least 1.
     """
@@ -404,10 +433,10 @@ def ensemble(
     # Under fork the pool starts every worker at once: no more than CPUs.
     eff_workers = min(eff_workers, replicas, os.cpu_count() or 1)
     if not hasattr(x0_source, "draw"):
-        # A fixed state's length and values are checked here, before any
-        # replica or worker starts; each replica still encodes its own copy.
-        x0_source = _draw_initial(x0_source, None, net.n)
-        _engine.encode_profile(x0_source)
+        # A fixed state's length and values are checked, and the state
+        # encoded, once here, before any replica or worker starts; each
+        # replica runs on a copy of the ranks.
+        x0_source, _ = _engine.encode_profile(_draw_initial(x0_source, None, net.n))
     # Build the listener table once here, so that forked workers inherit it.
     net.listener_weights
 

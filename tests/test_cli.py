@@ -506,6 +506,35 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("labels:abc", "cannot parse initial spec 'labels:abc'"),
+            ("grid:1.5", "cannot parse initial spec 'grid:1.5'"),
+            ("labels:1_000", "cannot parse initial spec 'labels:1_000'"),
+            ("labels:\u0663", "cannot parse initial spec 'labels:\u0663'"),
+            ("labels:" + "9" * 5000, "need at most 2^63 labels"),
+            ("grid:" + "9" * 5000, "grid needs at most 2^63 points"),
+            ("labels:-" + "9" * 5000, "need at least one label"),
+            ("labels:" + "0" * 100_000 + "x", "cannot parse initial spec 'labels:000"),
+        ],
+        ids=["letters", "decimal", "underscore", "arabic-indic", "labels-5000-digits",
+             "grid-5000-digits", "negative-5000-digits", "zeros-then-letter"],
+    )
+    def test_malformed_counts_are_named(self, complete4, spec, message):
+        # Only ASCII -?[0-9]+ is a count, matched in linear time; one past
+        # 2^63 by its digits alone is refused without converting them, so
+        # Python's digit limit never speaks.
+        code = "import sys\nfrom median_consensus import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = python_child(
+            code, "ensemble", "--network", complete4, "--initial", spec, "--seed", "1",
+            "--replicas", "2", timeout=20,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("error:") == 1
+        assert proc.stderr.startswith(f"error: {message}")
+
     def test_incomparable_opinions(self, complete4, capsys):
         rc = cli.main(["simulate", "--network", complete4, "--initial", "0,a,1,2",
                        "--seed", "1"])

@@ -47,6 +47,14 @@ class EvenLabels:
         return tuple(2 * v for v in rng.integers(0, 3, size=n).tolist())
 
 
+class TopZeroLabels(LabelUniform):
+    """A subclass whose draw ranks label 0 above the others, so its values
+    are not ordered as its picks are."""
+
+    def draw(self, rng, n):
+        return tuple(v or self.k for v in self.picks(rng, n))
+
+
 def _reference_run_encoded(net, state, ticks, budget):
     """Oracle for ``dynamics._run_encoded`` without mass tables: every tick
     re-reads the picked node's whole row, and every change is followed by a
@@ -311,6 +319,25 @@ class TestDistributions:
         assert draw == expected
         assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
+    @pytest.mark.parametrize(
+        "source",
+        [*map(LabelUniform, range(1, 5)), *map(GridUniform, range(2, 10)), GridUniform(201)],
+        ids=repr,
+    )
+    def test_picks_are_the_draw_in_order(self, source):
+        # Replicas run on the picks where ``run`` gets the draw: the same
+        # values in the same order, with each generator left in the same
+        # state, so the ticks that follow are the same.
+        for seed in (0, 7, 2**40):
+            picked, drawn = dynamics._rng(seed), dynamics._rng(seed)
+            picks = source.picks(picked, 60)
+            draw = source.draw(drawn, 60)
+            if isinstance(source, GridUniform):
+                span = source.points - 1
+                picks = [F(2 * k - span, span) for k in picks]
+            assert tuple(picks) == draw
+            assert picked.bit_generator.state == drawn.bit_generator.state
+
     def test_default_budget_frozen(self):
         assert default_budget(8) == 3516
         assert default_budget(1) == 139
@@ -388,7 +415,7 @@ class TestEnsemble:
         # The pool asks for fork by name where the platform has it.  Under
         # spawn, as where it has not, workers import everything afresh and
         # receive the network and the draw object, a custom class included,
-        # by pickling; the report must not change.
+        # or a fixed state's ranks by pickling; the report must not change.
         import multiprocessing
 
         asked = []
@@ -401,12 +428,13 @@ class TestEnsemble:
         monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         net = mixed_row_network()
-        for source in (LabelUniform(3), EvenLabels()):
+        fixed = tuple(F(i % 4, 2) for i in range(net.n))
+        for source in (LabelUniform(3), EvenLabels(), fixed):
             two = ensemble(net, source, replicas=8, seed=4, workers=2)
             one = ensemble(net, source, replicas=8, seed=4, workers=1)
             assert two == one and two.census == one.census
         fork = "fork" in multiprocessing.get_all_start_methods()
-        assert asked == ["fork" if fork else None] * 2
+        assert asked == ["fork" if fork else None] * 3
 
     def test_parent_builds_run_tables_before_the_pool(self, monkeypatch):
         # Forked workers inherit the tables instead of each building them,
@@ -554,6 +582,69 @@ class TestEnsemble:
                 assert (rep.steps_min, rep.steps_max) == (min(used), max(used))
                 consensus_seen.add(consensus)
         assert 0 in consensus_seen and 6 in consensus_seen
+
+
+class TestReplicaWork:
+    """One-worker ensembles call ``_engine.encode_profile`` never for
+    ``LabelUniform`` and ``GridUniform``, whose replicas start from their
+    integer picks, once for a fixed state, and once per replica for a
+    custom ``draw``."""
+
+    @staticmethod
+    def encodings(monkeypatch, call):
+        calls = []
+        encode_profile = _engine.encode_profile
+
+        def counted(values):
+            calls.append(values)
+            return encode_profile(values)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_engine, "encode_profile", counted)
+            call()
+        return len(calls)
+
+    @pytest.mark.parametrize("replicas", [1, 7])
+    def test_encodings_per_ensemble(self, monkeypatch, replicas):
+        net = mixed_row_network()
+        fixed = tuple(F(i % 3, 2) for i in range(net.n))
+        for source, expected in (
+            (LabelUniform(3), 0), (GridUniform(201), 0), (fixed, 1), (EvenLabels(), replicas)
+        ):
+            calls = self.encodings(monkeypatch, lambda: ensemble(net, source, replicas, 5))
+            assert calls == expected, source
+
+    def test_subclass_keeps_its_own_draw(self, monkeypatch):
+        # Only an exact LabelUniform or GridUniform runs on its picks.
+        class Plain:
+            def draw(self, rng, n):
+                return TopZeroLabels(3).draw(rng, n)
+
+        net = mixed_row_network()
+        calls = self.encodings(monkeypatch, lambda: ensemble(net, TopZeroLabels(3), 6, 5))
+        assert calls == 6
+        sub = ensemble(net, TopZeroLabels(3), 12, 5)
+        plain = ensemble(net, Plain(), 12, 5)
+        assert sub == plain and sub.census == plain.census
+        picks = ensemble(net, LabelUniform(3), 12, 5)
+        assert sub.census != picks.census
+
+    def test_grid_replicas_build_no_fraction(self, monkeypatch):
+        net = fixtures.lattice(5, 6)
+        net.listener_weights
+        built = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(F, "__new__", counted)
+            GridUniform(201).draw(dynamics._rng(1), 4)
+            drawn = len(built)
+            ensemble(net, GridUniform(201), 6, 5)
+        assert drawn > 0 and len(built) == drawn
 
 
 class TestIncrementalTables:
