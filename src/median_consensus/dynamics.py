@@ -81,12 +81,16 @@ class LabelUniform:
 
     k: int
 
-    def picks(self, rng: np.random.Generator, n: int) -> list:
-        """The n drawn labels, one ``rng.integers`` call."""
+    def check(self) -> None:
+        """Refuse a label count that is not a JSON integer in 1..2^63."""
         if not (is_json_int(self.k) and self.k >= 1):
             raise ValueError("need at least one label")
         if self.k > _MAX_PICKS:
             raise ValueError("need at most 2^63 labels")
+
+    def picks(self, rng: np.random.Generator, n: int) -> list:
+        """The n drawn labels, one ``rng.integers`` call."""
+        self.check()
         return rng.integers(0, self.k, size=n).tolist()
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
@@ -105,12 +109,16 @@ class GridUniform:
 
     points: int = 201
 
-    def picks(self, rng: np.random.Generator, n: int) -> list:
-        """The n drawn grid indices, one ``rng.integers`` call."""
+    def check(self) -> None:
+        """Refuse a point count that is not a JSON integer in 2..2^63."""
         if not (is_json_int(self.points) and self.points >= 2):
             raise ValueError("grid needs at least two points")
         if self.points > _MAX_PICKS:
             raise ValueError("grid needs at most 2^63 points")
+
+    def picks(self, rng: np.random.Generator, n: int) -> list:
+        """The n drawn grid indices, one ``rng.integers`` call."""
+        self.check()
         return rng.integers(0, self.points, size=n).tolist()
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
@@ -386,18 +394,15 @@ def _replica_summary(net, x0_source, base_seed, r, budget):
     return converged, consensus, used, _census_key(state)
 
 
-_worker_config: tuple = ()
-
-
-def _init_worker(*config):
-    """Pool initializer: each worker receives the network and settings once."""
-    global _worker_config
-    _worker_config = config
-
-
-def _replica_job(r):
-    net, x0_source, base_seed, budget = _worker_config
-    return _replica_summary(net, x0_source, base_seed, r, budget)
+def _run_block(send, net, x0_source, base_seed, block, budget):
+    """Worker process: run the replicas of ``block`` and send one message,
+    their summaries in order or the exception that stopped them."""
+    try:
+        message = [_replica_summary(net, x0_source, base_seed, r, budget) for r in block]
+    except Exception as exc:
+        message = exc
+    send.send(message)
+    send.close()
 
 
 def ensemble(
@@ -417,12 +422,18 @@ def ensemble(
     integer picks, so no replica builds or encodes opinion values; a fixed
     state is encoded once, and another ``draw`` object's draw once per
     replica.  Replica ``r`` derives its own generator from ``[seed, r]``,
-    so reports are identical for any worker count.  ``workers`` processes
-    (default 1, never more than ``replicas`` or the CPU count, forked
-    wherever the platform can fork) run the replicas and receive the
-    network once, and the fixed state's ranks or the draw object.
-    ``seed`` must be an integer of at least 0, and ``replicas``, ``budget``
-    and ``workers`` integers of at least 1.
+    so reports are identical for any worker count.  ``workers`` (default
+    1, never more than ``replicas`` or the CPU count) splits the replicas
+    into that many contiguous blocks.  The calling process runs the first
+    block itself; each other block runs in a process of its own (forked
+    wherever the platform can fork), which receives the network and the
+    fixed state's ranks or the draw object once and sends back one
+    message: its summaries, or the exception that stopped it.  A worker
+    that dies without a message is an error, and no worker outlives the
+    call.  ``seed`` must be an integer of at least 0, and ``replicas``,
+    ``budget`` and ``workers`` integers of at least 1; these, a fixed
+    state and a label or point count are all checked before any replica
+    or worker starts.
     """
     check_int("replicas", replicas, 1)
     check_int("seed", seed, 0)
@@ -430,9 +441,11 @@ def ensemble(
     check_int("budget", eff_budget, 1)
     eff_workers = workers if workers is not None else 1
     check_int("workers", eff_workers, 1)
-    # Under fork the pool starts every worker at once: no more than CPUs.
+    # Every worker runs at once: no more than CPUs.
     eff_workers = min(eff_workers, replicas, os.cpu_count() or 1)
-    if not hasattr(x0_source, "draw"):
+    if type(x0_source) in (LabelUniform, GridUniform):
+        x0_source.check()
+    elif not hasattr(x0_source, "draw"):
         # A fixed state's length and values are checked, and the state
         # encoded, once here, before any replica or worker starts; each
         # replica runs on a copy of the ranks.
@@ -440,13 +453,11 @@ def ensemble(
     # Build the listener table once here, so that forked workers inherit it.
     net.listener_weights
 
-    if eff_workers == 1:
-        summaries = [
-            _replica_summary(net, x0_source, seed, r, eff_budget) for r in range(replicas)
-        ]
-    else:
+    cuts = [replicas * k // eff_workers for k in range(eff_workers + 1)]
+    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    procs = []
+    if eff_workers > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         # Load numpy once here, so forked workers inherit it instead of
         # each importing it again.
@@ -455,14 +466,38 @@ def ensemble(
         # Ask for fork by name: since Python 3.14 Linux defaults to
         # forkserver, whose workers import everything afresh.
         fork = "fork" in multiprocessing.get_all_start_methods()
-        with ProcessPoolExecutor(
-            max_workers=eff_workers,
-            mp_context=multiprocessing.get_context("fork" if fork else None),
-            initializer=_init_worker,
-            initargs=(net, x0_source, seed, eff_budget),
-        ) as pool:
-            chunksize = max(1, replicas // (4 * eff_workers))
-            summaries = list(pool.map(_replica_job, range(replicas), chunksize=chunksize))
+        ctx = multiprocessing.get_context("fork" if fork else None)
+    try:
+        for block in blocks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_run_block, args=(send, net, x0_source, seed, block, eff_budget)
+            )
+            proc.start()
+            procs.append((proc, recv))
+            # Only the worker holds the sending end now, so its exit ends
+            # the pipe.
+            send.close()
+        summaries = [_replica_summary(net, x0_source, seed, r, eff_budget) for r in blocks[0]]
+        for k, (proc, recv) in enumerate(procs, 1):
+            try:
+                message = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"ensemble worker {k} died without a result (exit code {proc.exitcode})"
+                ) from None
+            if isinstance(message, Exception):
+                raise message
+            summaries += message
+    except BaseException:
+        for proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in procs:
+            proc.join()
+            recv.close()
 
     census: Counter = Counter()
     converged_count = consensus_count = 0

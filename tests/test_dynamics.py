@@ -365,34 +365,93 @@ class TestEnsemble:
         parallel = ensemble(net, LabelUniform(k=3), replicas=24, seed=6, workers=3)
         assert serial == parallel and serial.census == parallel.census
 
+    @staticmethod
+    def count_starts(monkeypatch, most):
+        """Record every worker process start; past ``most`` starts, refuse
+        the next one instead of starting it."""
+        import multiprocessing
+
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted(proc):
+            started.append(proc)
+            assert len(started) <= most, "more worker processes than CPUs"
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+        return started
+
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # Under fork the pool starts every worker at once, so it never asks
-        # for more than there are CPUs.  The fake pool records its size and
-        # runs the replicas in this process.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(dynamics, "_worker_config", ())
+        # Every worker runs at once, so there are never more than CPUs: at
+        # two CPUs the parent runs one block and starts one process.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        started = self.count_starts(monkeypatch, most=1)
         net = fixtures.complete_uniform(4)
         capped = ensemble(net, LabelUniform(3), replicas=64, seed=2, workers=64)
-        assert sizes == [2]
+        assert len(started) == 1
         serial = ensemble(net, LabelUniform(3), replicas=64, seed=2, workers=1)
         assert capped == serial and capped.census == serial.census
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("replicas, workers", [(7, 3), (3, 3), (5, 4)])
+    def test_uneven_blocks_equal_one_worker(self, monkeypatch, replicas, workers):
+        # The blocks are cut at replicas * k // workers, so they differ in
+        # size by at most one replica, and none is empty.
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        started = self.count_starts(monkeypatch, most=2 * (workers - 1))
+        net = mixed_row_network()
+        fixed = tuple(F(i % 4, 2) for i in range(net.n))
+        for source in (LabelUniform(3), fixed):
+            many = ensemble(net, source, replicas, seed=8, workers=workers)
+            one = ensemble(net, source, replicas, seed=8, workers=1)
+            assert many == one and many.census == one.census
+        assert len(started) == 2 * (workers - 1)
+
+    @pytest.mark.parametrize(
+        "case, workers, outcome",
+        [
+            ("worker-raises", 3, "ValueError draw failed in a worker"),
+            ("worker-dies", 2,
+             "RuntimeError ensemble worker 1 died without a result (exit code 7)"),
+            ("parent-raises", 3, "ValueError draw failed in the parent"),
+        ],
+    )
+    def test_failures_surface_and_leave_no_process(self, case, workers, outcome):
+        # A worker's exception is raised again in the parent, a worker that
+        # exits without a message is named, and when the parent's own block
+        # fails it stops the workers, which here wait for it to exit, before
+        # the error leaves ``ensemble``.  No case may hang or leave a
+        # process behind.
+        code = (
+            "import multiprocessing, os, sys, time\n"
+            "from median_consensus import ensemble, fixtures\n"
+            "os.cpu_count = lambda: 3\n"
+            "parent = os.getpid()\n"
+            "case = sys.argv[1]\n"
+            "class Failing:\n"
+            "    def draw(self, rng, n):\n"
+            "        inside = os.getpid() == parent\n"
+            "        if case == 'worker-raises' and not inside:\n"
+            "            raise ValueError('draw failed in a worker')\n"
+            "        if case == 'worker-dies' and not inside:\n"
+            "            os._exit(7)\n"
+            "        if case == 'parent-raises':\n"
+            "            if inside:\n"
+            "                raise ValueError('draw failed in the parent')\n"
+            "            while os.getppid() == parent:\n"
+            "                time.sleep(0.05)\n"
+            "        return tuple(rng.integers(0, 3, size=n).tolist())\n"
+            "net = fixtures.complete_uniform(4)\n"
+            "try:\n"
+            "    ensemble(net, Failing(), 6, 1, workers=int(sys.argv[2]))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+            "print(multiprocessing.active_children())\n"
+        )
+        proc = python_child(code, case, str(workers), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{outcome}\n[]\n"
 
     def test_workers_inherit_numpy_from_the_parent(self):
         # The parent loads numpy before the pool forks, so no worker imports
@@ -495,15 +554,35 @@ class TestEnsemble:
 
     @pytest.fixture
     def no_replica_runs(self, monkeypatch):
-        """Fail the test if a replica runs or a worker pool starts."""
+        """Fail the test if a replica runs or a worker process starts; two
+        CPUs, so that two workers are not capped to one."""
+        import multiprocessing
+
         def no_replica(*args):
             raise AssertionError("a replica ran")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+        def no_start(proc):
+            raise AssertionError("a worker process was started")
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(dynamics, "_replica_summary", no_replica)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+
+    @pytest.mark.parametrize(
+        "source, refusal",
+        [
+            (LabelUniform(0), "need at least one label"),
+            (LabelUniform(2**63 + 1), "need at most 2\\^63 labels"),
+            (GridUniform(1), "grid needs at least two points"),
+            (GridUniform(2**63 + 1), "grid needs at most 2\\^63 points"),
+        ],
+        ids=["labels-0", "labels-2^63+1", "grid-1", "grid-2^63+1"],
+    )
+    def test_distribution_checked_before_any_replica(self, no_replica_runs, source, refusal):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=refusal):
+                ensemble(fixtures.complete_uniform(4), source, replicas=4, seed=1,
+                         workers=workers)
 
     def test_fixed_state_length_checked_before_any_replica(self, no_replica_runs):
         for workers in (1, 2):
