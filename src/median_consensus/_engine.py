@@ -12,13 +12,13 @@ the number of nodes.  It encodes the states of ``run``, ``step``,
 ensemble, and a custom ``draw`` once per replica; replicas of
 ``LabelUniform`` and ``GridUniform`` start from their integer picks and
 encode nothing.  ``update_value`` builds the table from a whole row
-and is the oracle for single steps, equilibrium checks and every memo
-entry of ``decide``'s search.  Runs keep two masses per node instead, the
-row's mass below the node's own rank and at or below it, and read a row
-only when its node moves (``dynamics._run_encoded``); for a row that is
-not equal-weight, ``median_masses`` returns the new rank with both masses
-there.  Cut margins live in ``cohesion``, and ``median.py`` is the
-readable reference.
+and is the oracle for single steps and every memo entry of ``decide``'s
+search.  Runs keep two masses per node instead, the row's mass below the
+node's own rank and at or below it, and read a row only when its node
+moves (``dynamics._run_encoded``); for a row that is not equal-weight,
+``median_masses`` returns the new rank with both masses there.  Equilibrium
+checks (``dynamics.is_equilibrium``) test the same two masses.  Cut
+margins live in ``cohesion``, and ``median.py`` is the readable reference.
 """
 
 from __future__ import annotations

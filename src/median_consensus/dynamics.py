@@ -88,13 +88,13 @@ class LabelUniform:
         if self.k > _MAX_PICKS:
             raise ValueError("need at most 2^63 labels")
 
-    def picks(self, rng: np.random.Generator, n: int) -> list:
-        """The n drawn labels, one ``rng.integers`` call."""
+    def picks(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The n drawn labels: the int64 array of one ``rng.integers`` call."""
         self.check()
-        return rng.integers(0, self.k, size=n).tolist()
+        return rng.integers(0, self.k, size=n)
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
-        return tuple(self.picks(rng, n))
+        return tuple(self.picks(rng, n).tolist())
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,13 @@ class GridUniform:
         if self.points > _MAX_PICKS:
             raise ValueError("grid needs at most 2^63 points")
 
-    def picks(self, rng: np.random.Generator, n: int) -> list:
-        """The n drawn grid indices, one ``rng.integers`` call."""
+    def picks(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The n drawn grid indices: the int64 array of one ``rng.integers`` call."""
         self.check()
-        return rng.integers(0, self.points, size=n).tolist()
+        return rng.integers(0, self.points, size=n)
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
-        picks = self.picks(rng, n)
+        picks = self.picks(rng, n).tolist()
         span = self.points - 1
         # One shared Fraction per distinct drawn index, never the whole grid.
         grid = {k: Fraction(2 * k - span, span) for k in set(picks)}
@@ -178,10 +178,8 @@ def step(net: InfluenceNetwork, x: Sequence, i: int) -> tuple:
 
 def is_equilibrium(net: InfluenceNetwork, x: Sequence) -> bool:
     """Is every node already at its own closest weighted median?"""
-    vals = _validate_state(net, x)
-    state, _ = _engine.encode_profile(vals)
-    rows = net.integer_rows
-    return all(_engine.update_value(rows, state, i) == v for i, v in enumerate(state))
+    state, _ = _engine.encode_profile(_validate_state(net, x))
+    return not _masses(net, state)[2]
 
 
 def _random_ticks(rng: np.random.Generator, n: int, budget: int):
@@ -193,31 +191,19 @@ def _random_ticks(rng: np.random.Generator, n: int, budget: int):
     )
 
 
-def _run_encoded(net, state, ticks, budget):
-    """Core loop over an encoded state; returns (steps, converged, used).
-
-    Each node j keeps two masses of its row: ``lt[j]`` on ranks below its
-    own value v and ``le[j]`` on ranks at or below it.  With d its row's
-    ``denom``, j sits at a weighted median exactly when ``2 * le[j] >= d``
-    and ``2 * lt[j] <= d``.  When node i moves between ``lo`` and ``hi``
-    (its old and new rank in order), only a listener j with v in
-    ``[lo, hi]`` changes: w_ji leaves or joins ``lt[j]`` unless v is
-    ``lo`` and ``le[j]`` unless v is ``hi``, as i moves up or down
-    (``net.listener_weights``).  A row is
-    read only when its node moves: an equal-weight row (``d ==
-    len(nbrs)``, as rows are in lowest terms) as the order statistics at
-    ``(d - 1) // 2`` and ``d // 2`` of its sorted ranks, any other row
-    through ``_engine.median_masses``.  The read sets the moved node's
-    masses at its new value, with its own weight still on ``old``; a
-    self-loop then moves that weight as any listener's.
-    """
-    rows = net.integer_rows
-    listeners = net.listener_weights
-    median_masses = _engine.median_masses
-    denoms = []
+def _masses(net, state):
+    """``(lt, le, unstable)`` of an encoded state, in Python: each node's
+    row mass on ranks below its own and at or below it, and the set of
+    nodes off their weighted median (``2 * le < d`` or ``2 * lt > d``, d the
+    row's denominator).  An equal-weight row (``d == len(nbrs)``, as rows
+    are in lowest terms) is read as its sorted ranks and two bisections.
+    This is the reference set-up, and the only one for ``run``,
+    ``is_equilibrium``, fixed or custom ensemble states and networks
+    without ``flat_rows``."""
     lt = []
     le = []
-    for v, (nbrs, ws, d) in zip(state, rows):
+    unstable = set()
+    for i, (v, (nbrs, ws, d)) in enumerate(zip(state, net.integer_rows)):
         if d == len(nbrs):
             rk = sorted(map(state.__getitem__, nbrs))
             a = bisect_left(rk, v)
@@ -230,13 +216,57 @@ def _run_encoded(net, state, ticks, budget):
                     b += w
                     if u < v:
                         a += w
-        denoms.append(d)
         lt.append(a)
         le.append(b)
-    unstable = {i for i, d in enumerate(denoms) if 2 * le[i] < d or 2 * lt[i] > d}
+        if 2 * b < d or 2 * a > d:
+            unstable.add(i)
+    return lt, le, unstable
+
+
+def _flat_masses(flat, picks):
+    """``_masses`` in one NumPy pass over ``net.flat_rows``, for an int64
+    array of ranks: gather each entry's neighbor rank and its row's own
+    rank, sum the weights below and at or below per row (``reduceat``; no
+    row is empty), and convert to the same lists and set."""
+    import numpy as np
+
+    nbrs, wints, starts, lengths, denoms = flat
+    u = picks[nbrs]
+    v = np.repeat(picks, lengths)
+    lt = np.add.reduceat(wints * (u < v), starts)
+    le = np.add.reduceat(wints * (u <= v), starts)
+    unstable = np.flatnonzero((2 * le < denoms) | (2 * lt > denoms))
+    return lt.tolist(), le.tolist(), set(unstable.tolist())
+
+
+def _run_encoded(net, state, ticks, budget, masses):
+    """Core loop over an encoded state; returns (steps, converged, used).
+
+    ``masses`` is the state's set-up, ``(lt, le, unstable)`` from
+    ``_masses`` or, for seeded replicas, ``_flat_masses``: each node j
+    keeps two masses of its row, ``lt[j]`` on ranks below its own value v
+    and ``le[j]`` on ranks at or below it.  With d its row's ``denom``, j
+    sits at a weighted median exactly when ``2 * le[j] >= d`` and
+    ``2 * lt[j] <= d``.  When node i moves between ``lo`` and ``hi``
+    (its old and new rank in order), only a listener j with v in
+    ``[lo, hi]`` changes: w_ji leaves or joins ``lt[j]`` unless v is
+    ``lo`` and ``le[j]`` unless v is ``hi``, as i moves up or down
+    (``net.listener_weights``).  A row is
+    read only when its node moves: an equal-weight row (``d ==
+    len(nbrs)``, as rows are in lowest terms) as the order statistics at
+    ``(d - 1) // 2`` and ``d // 2`` of its sorted ranks, any other row
+    through ``_engine.median_masses``.  The read sets the moved node's
+    masses at its new value, with its own weight still on ``old``; a
+    self-loop then moves that weight as any listener's.
+    """
+    lt, le, unstable = masses
     records = []
     if not unstable:
         return records, True, 0
+    rows = net.integer_rows
+    listeners = net.listener_weights
+    median_masses = _engine.median_masses
+    denoms = [d for _, _, d in rows]
     t = 0
     for i in ticks:
         t += 1
@@ -301,7 +331,7 @@ def run(net: InfluenceNetwork, x0: Sequence, schedule) -> Trajectory:
                 raise ValueError(f"schedule node {i} out of range")
         budget = len(explicit)
         ticks = iter(explicit)
-    records, converged, used = _run_encoded(net, state, ticks, budget)
+    records, converged, used = _run_encoded(net, state, ticks, budget, _masses(net, state))
     steps = tuple((t, i, table[old], table[new]) for t, i, old, new in records)
     terminal = tuple(table[v] for v in state)
     return Trajectory(
@@ -378,20 +408,34 @@ def _replica_summary(net, x0_source, base_seed, r, budget):
     state, then the ticks.  The run starts from ranks: the picks of an exact
     ``LabelUniform`` or ``GridUniform`` (a subclass may override ``draw``),
     a copy of a fixed state's ranks, or, for any other ``draw`` object, its
-    draw encoded."""
+    draw encoded.  Picks on a network with ``flat_rows`` (every denominator
+    below 2^62) get their masses from ``_flat_masses``; every other replica
+    from ``_masses``."""
     rng = _rng([base_seed, r])
+    flat = None
     if type(x0_source) in (LabelUniform, GridUniform):
-        state = x0_source.picks(rng, net.n)
+        picks = x0_source.picks(rng, net.n)
+        state = picks.tolist()
+        flat = net.flat_rows
     elif hasattr(x0_source, "draw"):
         state, _ = _engine.encode_profile(_draw_initial(x0_source, rng, net.n))
     else:
         state = x0_source.copy()
+    masses = _masses(net, state) if flat is None else _flat_masses(flat, picks)
     ticks = _random_ticks(rng, net.n, budget)
-    _, converged, used = _run_encoded(net, state, ticks, budget)
+    _, converged, used = _run_encoded(net, state, ticks, budget, masses)
     # The ranks order the nodes as their values do, so consensus and the
     # census read the terminal ranks as they would the decoded values.
     consensus = converged and len(set(state)) == 1
     return converged, consensus, used, _census_key(state)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_block(send, net, x0_source, base_seed, block, budget):
@@ -421,9 +465,12 @@ def ensemble(
     Replicas of a :class:`LabelUniform` or :class:`GridUniform` run on its
     integer picks, so no replica builds or encodes opinion values; a fixed
     state is encoded once, and another ``draw`` object's draw once per
-    replica.  Replica ``r`` derives its own generator from ``[seed, r]``,
-    so reports are identical for any worker count.  ``workers`` (default
-    1, never more than ``replicas`` or the CPU count) splits the replicas
+    replica.  Picks start from masses summed in one NumPy pass over the
+    network's ``flat_rows``, built here once, unless a row's denominator
+    reaches 2^62; every other replica starts from the Python ``_masses``.
+    Replica ``r`` derives its own generator from ``[seed, r]``, so reports
+    are identical for any worker count.  ``workers`` (default 1, never more
+    than ``replicas`` or the CPUs this process may run on) splits the replicas
     into that many contiguous blocks.  The calling process runs the first
     block itself; each other block runs in a process of its own (forked
     wherever the platform can fork), which receives the network and the
@@ -442,9 +489,11 @@ def ensemble(
     eff_workers = workers if workers is not None else 1
     check_int("workers", eff_workers, 1)
     # Every worker runs at once: no more than CPUs.
-    eff_workers = min(eff_workers, replicas, os.cpu_count() or 1)
+    eff_workers = min(eff_workers, replicas, _usable_cpus())
     if type(x0_source) in (LabelUniform, GridUniform):
         x0_source.check()
+        # Build the flat rows once here, so that forked workers inherit them.
+        net.flat_rows
     elif not hasattr(x0_source, "draw"):
         # A fixed state's length and values are checked, and the state
         # encoded, once here, before any replica or worker starts; each

@@ -41,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -65,6 +65,10 @@ __all__ = [
     "has_half_ties",
     "has_globally_reachable_node",
 ]
+
+
+# ``flat_rows`` sums row masses in int64 only below this denominator.
+_FLAT_LIMIT = 2**62
 
 
 class NetworkFormatError(ValueError):
@@ -178,6 +182,36 @@ class InfluenceNetwork:
                 nodes[j].append(i)
                 wints[j].append(w)
         return tuple((tuple(a), tuple(b)) for a, b in zip(nodes, wints))
+
+    @cached_property
+    def flat_rows(self):
+        """``integer_rows`` as flat int64 arrays, or ``None`` past 2^62.
+
+        ``(nbrs, wints, starts, lengths, denoms)``: every row's neighbor
+        indices and weights one row after another, the index where each
+        row begins, each row's length and its denominator.  Seeded replicas
+        (``dynamics._flat_masses``) sum their starting masses over these in
+        int64, which is exact while every denominator is below 2^62: a mass
+        is at most its row's denominator, so twice a mass stays below 2^63.
+        A network with a denominator of 2^62 or more gets ``None`` and
+        keeps the Python set-up.  Built on first use, which loads numpy.
+        """
+        rows = self.integer_rows
+        if any(d >= _FLAT_LIMIT for _, _, d in rows):
+            return None
+        import numpy as np
+
+        lengths = [len(nbrs) for nbrs, _, _ in rows]
+        total = sum(lengths)
+        starts = np.zeros(self.n, np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        return (
+            np.fromiter(chain.from_iterable(nbrs for nbrs, _, _ in rows), np.int64, total),
+            np.fromiter(chain.from_iterable(ws for _, ws, _ in rows), np.int64, total),
+            starts,
+            np.array(lengths, np.int64),
+            np.fromiter((d for _, _, d in rows), np.int64, self.n),
+        )
 
     @property
     def edge_count(self) -> int:

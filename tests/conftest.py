@@ -150,6 +150,22 @@ def cap_row_network() -> InfluenceNetwork:
     return InfluenceNetwork.from_edges(n, edges)
 
 
+def wide_row_network(denom: int) -> InfluenceNetwork:
+    """``lattice(3, 3)`` with the centre's row over ``denom``: weights 1 on
+    itself and two of its neighbours, and the rest in two near halves, so
+    that its median moves with the two heavy neighbours."""
+    half = denom // 2
+    weights = {1: 1, 3: half - 2, 4: 1, 5: denom - half - 1, 7: 1}
+    edges = [
+        (i, j, Fraction(w, d))
+        for i, (nbrs, ws, d) in enumerate(fixtures.lattice(3, 3).integer_rows)
+        if i != 4
+        for j, w in zip(nbrs, ws)
+    ]
+    edges += [(4, j, Fraction(w, denom)) for j, w in weights.items()]
+    return InfluenceNetwork.from_edges(9, edges)
+
+
 def random_coprime_network(rnd: random.Random, n: int) -> InfluenceNetwork:
     """Random network built from :func:`random_coprime_rows`."""
     return InfluenceNetwork.from_rows(random_coprime_rows(rnd, n))

@@ -20,6 +20,7 @@ from conftest import (
     random_network,
     random_profile,
     random_row,
+    wide_row_network,
 )
 from median_consensus import (
     EnsembleReport,
@@ -52,14 +53,28 @@ class TopZeroLabels(LabelUniform):
     are not ordered as its picks are."""
 
     def draw(self, rng, n):
-        return tuple(v or self.k for v in self.picks(rng, n))
+        return tuple(v or self.k for v in self.picks(rng, n).tolist())
 
 
-def _reference_run_encoded(net, state, ticks, budget):
+def _whole_row_masses(net, state):
+    """``(lt, le, unstable)`` read off each node's whole mass table."""
+    lt, le, unstable = [], [], set()
+    for i, (row, v) in enumerate(zip(net.integer_rows, state)):
+        masses = _engine.row_masses(row, state)
+        lt.append(sum(m for u, m in masses.items() if u < v))
+        le.append(lt[-1] + masses.get(v, 0))
+        if _engine.update_value(net.integer_rows, state, i) != v:
+            unstable.add(i)
+    return lt, le, unstable
+
+
+def _reference_run_encoded(net, state, ticks, budget, masses):
     """Oracle for ``dynamics._run_encoded`` without mass tables: every tick
     re-reads the picked node's whole row, and every change is followed by a
-    check of every node."""
+    check of every node.  The set-up handed in, from ``dynamics._masses``
+    or ``dynamics._flat_masses``, must equal the whole-row masses."""
     rows = net.integer_rows
+    assert masses == _whole_row_masses(net, state)
 
     def settled():
         return all(_engine.update_value(rows, state, j) == state[j] for j in range(net.n))
@@ -330,7 +345,7 @@ class TestDistributions:
         # state, so the ticks that follow are the same.
         for seed in (0, 7, 2**40):
             picked, drawn = dynamics._rng(seed), dynamics._rng(seed)
-            picks = source.picks(picked, 60)
+            picks = source.picks(picked, 60).tolist()
             draw = source.draw(drawn, 60)
             if isinstance(source, GridUniform):
                 span = source.points - 1
@@ -383,9 +398,9 @@ class TestEnsemble:
         return started
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # Every worker runs at once, so there are never more than CPUs: at
-        # two CPUs the parent runs one block and starts one process.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # Every worker runs at once, so there are never more than usable
+        # CPUs: at two the parent runs one block and starts one process.
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         started = self.count_starts(monkeypatch, most=1)
         net = fixtures.complete_uniform(4)
         capped = ensemble(net, LabelUniform(3), replicas=64, seed=2, workers=64)
@@ -394,11 +409,34 @@ class TestEnsemble:
         assert capped == serial and capped.census == serial.census
         assert len(started) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_workers_capped_at_the_affinity_mask(self):
+        # A process pinned to one CPU may run only one worker, however many
+        # CPUs the machine has, so two workers start no process.
+        code = (
+            "import multiprocessing, os\n"
+            "from median_consensus import LabelUniform, ensemble, fixtures\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "started = []\n"
+            "start = multiprocessing.process.BaseProcess.start\n"
+            "def counted(proc):\n"
+            "    started.append(proc)\n"
+            "    start(proc)\n"
+            "multiprocessing.process.BaseProcess.start = counted\n"
+            "net = fixtures.complete_uniform(4)\n"
+            "two = ensemble(net, LabelUniform(3), replicas=8, seed=1, workers=2)\n"
+            "one = ensemble(net, LabelUniform(3), replicas=8, seed=1, workers=1)\n"
+            "print(len(started), two == one and two.census == one.census)\n"
+        )
+        proc = python_child(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True\n"
+
     @pytest.mark.parametrize("replicas, workers", [(7, 3), (3, 3), (5, 4)])
     def test_uneven_blocks_equal_one_worker(self, monkeypatch, replicas, workers):
         # The blocks are cut at replicas * k // workers, so they differ in
         # size by at most one replica, and none is empty.
-        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: workers)
         started = self.count_starts(monkeypatch, most=2 * (workers - 1))
         net = mixed_row_network()
         fixed = tuple(F(i % 4, 2) for i in range(net.n))
@@ -425,8 +463,8 @@ class TestEnsemble:
         # process behind.
         code = (
             "import multiprocessing, os, sys, time\n"
-            "from median_consensus import ensemble, fixtures\n"
-            "os.cpu_count = lambda: 3\n"
+            "from median_consensus import dynamics, ensemble, fixtures\n"
+            "dynamics._usable_cpus = lambda: 3\n"
             "parent = os.getpid()\n"
             "case = sys.argv[1]\n"
             "class Failing:\n"
@@ -485,7 +523,7 @@ class TestEnsemble:
             return get_context("spawn")
 
         monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         net = mixed_row_network()
         fixed = tuple(F(i % 4, 2) for i in range(net.n))
         for source in (LabelUniform(3), EvenLabels(), fixed):
@@ -497,12 +535,24 @@ class TestEnsemble:
 
     def test_parent_builds_run_tables_before_the_pool(self, monkeypatch):
         # Forked workers inherit the tables instead of each building them,
-        # and the parent keeps them for its next run.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # and the parent keeps them for its next run.  The tables are there
+        # when the worker starts, not only after the parent's own block.
+        import multiprocessing
+
+        tables = {"listener_weights", "flat_rows"}
+        built = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def checked(proc):
+            built.append(tables <= vars(net).keys())
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", checked)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         net = fixtures.lattice(5, 6)
-        assert "listener_weights" not in vars(net)
+        assert not tables & vars(net).keys()
         two = ensemble(net, GridUniform(201), replicas=4, seed=3, workers=2)
-        assert "listener_weights" in vars(net)
+        assert built == [True] and tables <= vars(net).keys()
         one = ensemble(fixtures.lattice(5, 6), GridUniform(201), replicas=4, seed=3, workers=1)
         assert two == one and two.census == one.census
 
@@ -564,7 +614,7 @@ class TestEnsemble:
         def no_start(proc):
             raise AssertionError("a worker process was started")
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(dynamics, "_replica_summary", no_replica)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
 
@@ -667,7 +717,9 @@ class TestReplicaWork:
     """One-worker ensembles call ``_engine.encode_profile`` never for
     ``LabelUniform`` and ``GridUniform``, whose replicas start from their
     integer picks, once for a fixed state, and once per replica for a
-    custom ``draw``."""
+    custom ``draw``.  Picks on a network with ``flat_rows`` take the NumPy
+    set-up; every other replica calls the Python ``dynamics._masses``
+    once."""
 
     @staticmethod
     def encodings(monkeypatch, call):
@@ -692,6 +744,30 @@ class TestReplicaWork:
         ):
             calls = self.encodings(monkeypatch, lambda: ensemble(net, source, replicas, 5))
             assert calls == expected, source
+
+    @pytest.mark.parametrize("replicas", [1, 7])
+    def test_python_setups_per_ensemble(self, monkeypatch, replicas):
+        guarded = mixed_row_network()
+        past = wide_row_network(2**62 + 1)
+        assert guarded.flat_rows is not None and past.flat_rows is None
+        for net in (guarded, past):
+            fixed = tuple(F(i % 3, 2) for i in range(net.n))
+            exact = 0 if net is guarded else replicas
+            for source, expected in (
+                (LabelUniform(3), exact), (GridUniform(201), exact), (fixed, replicas),
+                (EvenLabels(), replicas), (TopZeroLabels(3), replicas),
+            ):
+                calls = []
+                masses = dynamics._masses
+
+                def counted(net, state):
+                    calls.append(state)
+                    return masses(net, state)
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(dynamics, "_masses", counted)
+                    ensemble(net, source, replicas, 5)
+                assert len(calls) == expected, (net, source)
 
     def test_subclass_keeps_its_own_draw(self, monkeypatch):
         # Only an exact LabelUniform or GridUniform runs on its picks.
@@ -863,6 +939,35 @@ class TestIncrementalTables:
             patched.setattr(dynamics, "_run_encoded", _reference_run_encoded)
             assert fast == run(net, x0, schedule)
         assert fast.replay() == fast.terminal
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_networks(), st.data())
+    def test_flat_masses_match_python_property(self, net, data):
+        # Both set-ups against each other and against whole mass tables;
+        # "half" rows put twice a mass exactly on the denominator.
+        import numpy as np
+
+        labels = data.draw(st.integers(1, 4))
+        state = data.draw(st.lists(st.integers(0, labels - 1), min_size=net.n, max_size=net.n))
+        python = dynamics._masses(net, state)
+        assert python == _whole_row_masses(net, state)
+        assert dynamics._flat_masses(net.flat_rows, np.array(state, np.int64)) == python
+
+    @pytest.mark.parametrize("power, flat", [(-1, True), (0, False), (1, False)],
+                             ids=["2^62-1", "2^62", "2^62+1"])
+    def test_rows_at_the_guard(self, monkeypatch, power, flat):
+        # A denominator below 2^62 takes the NumPy set-up; from 2^62 up the
+        # network has no flat rows, and its picks take the Python set-up.
+        # Either way the masses handed to the reference equal whole tables.
+        net = wide_row_network(2**62 + power)
+        assert (net.flat_rows is not None) == flat
+        for source in (LabelUniform(3), GridUniform(9)):
+            def call():
+                return ensemble(net, source, replicas=12, seed=power + 2).to_json_dict()
+
+            expected = self.reference(monkeypatch, call)
+            assert call() == expected
+            assert expected["converged"] > 0
 
     def test_dense_ensemble_matches_reference_at_one_and_two_workers(self, monkeypatch):
         net = fixtures.complete_uniform(16)
